@@ -99,12 +99,11 @@ def enumerate_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]
     if bound < 0:
         raise ValueError("bound must be >= 0")
     ids = G.edge_ids
-    out = []
-    for vec in itertools.product(range(bound + 1), repeat=len(ids)):
-        M = ThicknessFunction(tuple(zip(ids, vec)))
-        if is_thickness_function(G, M):
-            out.append(M)
-    return out
+    return [
+        ThicknessFunction(tuple(zip(ids, vec)))
+        for vec in itertools.product(range(bound + 1), repeat=len(ids))
+        if _is_valid(G, vec)
+    ]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -212,6 +211,33 @@ class ChartPresentation:
         return rels
 
 
+def _assemble_chart(
+    G: LabelledGraph,
+    labels: Mapping[str, Monomial],
+    M: ThicknessFunction,
+    classes: Iterable[tuple[str, ...]],
+) -> ChartPresentation:
+    """The chart of a valid M from the classes of G/Z, each sorted, in sorted order."""
+    values = M.as_dict()
+    chart_classes = []
+    for edges in classes:
+        ms = [values[e] for e in edges]
+        rows = tuple(
+            ClassRow(e, labels[e], m, n) for e, m, n in zip(edges, ms, bezout(ms))
+        )
+        chart_classes.append(ChartClass(edges, rows))
+    inverted = []
+    for e, v in M.values:
+        if v == 0 and labels[e] not in inverted:
+            inverted.append(labels[e])
+    var_names = {c.aligning_var for c in chart_classes}
+    var_names.update(r.unit_var for c in chart_classes for r in c.rows)
+    clash = var_names & set(G.generators.names)
+    if clash:
+        raise ValueError(f"chart variables collide with generators: {sorted(clash)}")
+    return ChartPresentation(G.generators, tuple(chart_classes), tuple(inverted))
+
+
 def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
     """The chart indexed by M.
 
@@ -222,27 +248,58 @@ def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
     if not is_thickness_function(G, M):
         raise ValueError(f"not a thickness function: {M}")
     H = contracted_graph(G, M)
-    labels = G.labels()
-    classes = []
-    for cls in circuit_partition(H):
-        edges = tuple(sorted(cls))
-        ms = [M.value(e) for e in edges]
-        ns = bezout(ms)
-        rows = tuple(
-            ClassRow(e, labels[e], m, n) for e, m, n in zip(edges, ms, ns)
+    classes = sorted(tuple(sorted(cls)) for cls in circuit_partition(H))
+    return _assemble_chart(G, G.labels(), M, classes)
+
+
+def _classes(
+    G: LabelledGraph, vector: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The circuit classes of G/Z, Z the zero set of a value vector.
+
+    Validity of a thickness function, the classes of its chart and its
+    overlaps depend on the function only through Z = {e : M(e) = 0}.  So
+    each zero pattern is contracted and partitioned once, and the result is
+    kept on G, which is immutable: every call given the same graph shares
+    it.  A class is a tuple of edge positions in ``G.edge_ids``, ascending,
+    and the classes are ordered by first position, the order of
+    ``circuit_partition`` and of chart classes.  The list gives each edge
+    position its class index, or -1 for a contracted edge.
+    """
+    memo = G.__dict__.setdefault("_zero_patterns", {})
+    key = tuple([v == 0 for v in vector])
+    found = memo.get(key)
+    if found is None:
+        position = {e: i for i, e in enumerate(G.edge_ids)}
+        H, _ = contract(G, [e for e, z in zip(G.edge_ids, key) if z])
+        classes = tuple(
+            tuple(sorted(position[e] for e in cls)) for cls in circuit_partition(H)
         )
-        classes.append(ChartClass(edges, rows))
-    classes.sort(key=lambda c: c.edges)
-    inverted = []
-    for e, v in M.values:
-        if v == 0 and labels[e] not in inverted:
-            inverted.append(labels[e])
-    var_names = {c.aligning_var for c in classes}
-    var_names.update(r.unit_var for c in classes for r in c.rows)
-    clash = var_names & set(G.generators.names)
-    if clash:
-        raise ValueError(f"chart variables collide with generators: {sorted(clash)}")
-    return ChartPresentation(G.generators, tuple(classes), tuple(inverted))
+        owner = [-1] * len(key)
+        for k, cls in enumerate(classes):
+            for i in cls:
+                owner[i] = k
+        found = memo[key] = (classes, owner)
+    return found
+
+
+def _is_valid(G: LabelledGraph, vector: Sequence[int]) -> bool:
+    classes, _ = _classes(G, vector)
+    return all(math.gcd(*[vector[i] for i in cls]) == 1 for cls in classes)
+
+
+def _overlap_positions(
+    G: LabelledGraph, a: Sequence[int], b: Sequence[int]
+) -> set[int]:
+    """The edge positions of the classes of either side that meet {a != b}."""
+    diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    out: set[int] = set()
+    for vector in (a, b):
+        classes, owner = _classes(G, vector)
+        for k in {owner[i] for i in diff}:
+            if k >= 0:
+                out.update(classes[k])
+    return out
 
 
 def verify_chart_substitution(c: ChartPresentation) -> bool:
@@ -294,19 +351,29 @@ def overlap(
 ) -> tuple[frozenset[str], ChartPresentation]:
     """The overlap chart: chart(M) with the disagreement labels inverted too."""
     delta = overlap_edges(G, M, N)
-    base_chart = chart(G, M)
-    labels = G.labels()
-    inverted = list(base_chart.inverted)
-    for e in sorted(delta):
-        if labels[e] not in inverted:
-            inverted.append(labels[e])
-    return delta, ChartPresentation(base_chart.base, base_chart.classes, tuple(inverted))
+    return delta, Overlap(delta, chart(G, M)).chart
 
 
 @dataclass(frozen=True)
 class Overlap:
+    """The overlap of chart(M) with chart(N), holding chart(M) by reference."""
+
     inverted_edges: frozenset[str]
-    chart: ChartPresentation
+    left_chart: ChartPresentation
+
+    @property
+    def chart(self) -> ChartPresentation:
+        """chart(M) with the labels of inverted_edges inverted too."""
+        base = self.left_chart
+        # An edge outside every class of chart(M) is contracted there, so its
+        # label is inverted already.
+        labels = {row.edge: row.label for cls in base.classes for row in cls.rows}
+        inverted = list(base.inverted)
+        for e in sorted(self.inverted_edges):
+            label = labels.get(e)
+            if label is not None and label not in inverted:
+                inverted.append(label)
+        return ChartPresentation(base.base, base.classes, tuple(inverted))
 
 
 @dataclass
@@ -333,12 +400,18 @@ class Atlas:
 def build_atlas(G: LabelledGraph, bound: int) -> Atlas:
     """Charts in lexicographic order and one overlap per unordered pair."""
     ms = enumerate_thickness(G, bound)
-    charts = {M: chart(G, M) for M in ms}
+    ids = G.edge_ids
+    labels = G.labels()
+    vectors = [M.vector() for M in ms]
+    charts = {}
+    for M, vec in zip(ms, vectors):
+        classes = [tuple(ids[i] for i in cls) for cls in _classes(G, vec)[0]]
+        charts[M] = _assemble_chart(G, labels, M, classes)
     overlaps = {}
     for i, M in enumerate(ms):
-        for N in ms[i + 1 :]:
-            delta, oc = overlap(G, M, N)
-            overlaps[(M, N)] = Overlap(delta, oc)
+        for j in range(i + 1, len(ms)):
+            delta = _overlap_positions(G, vectors[i], vectors[j])
+            overlaps[(M, ms[j])] = Overlap(frozenset(ids[k] for k in delta), charts[M])
     return Atlas(G, bound, charts, overlaps)
 
 
@@ -407,27 +480,8 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _scales_consistently(
-    G: LabelledGraph, M: ThicknessFunction, vals: Mapping[str, int]
-) -> bool:
-    # Per class of the contracted graph the edge valuations must be a
-    # common non-negative integer multiple of M.
-    for e, v in M.values:
-        if v == 0 and vals[e] != 0:
-            return False
-    H = contracted_graph(G, M)
-    for cls in circuit_partition(H):
-        t = None
-        for e in cls:
-            m = M.value(e)
-            if vals[e] % m:
-                return False
-            q = vals[e] // m
-            if t is None:
-                t = q
-            elif t != q:
-                return False
-    return True
+def _edge_valuations(G: LabelledGraph, v: Valuation) -> list[int]:
+    return [v.of(e.label) for e in G.edges]
 
 
 def trait_factorisation(
@@ -437,35 +491,52 @@ def trait_factorisation(
 
     The canonical thickness function vanishes where the edge valuation
     does and divides out the per-class gcd; all_valid collects every valid
-    M with values <= bound compatible with the valuation.  With the
-    default bound the canonical function is always a member.
+    M with values <= bound compatible with the valuation: on each class of
+    the contracted graph the edge valuations are t * M for one integer t.
+    With the default bound the canonical function is always a member.
     """
-    vals = {e.id: v.of(e.label) for e in G.edges}
-    zero = [e for e, w in vals.items() if w == 0]
-    H, _ = contract(G, zero)
+    ids = G.edge_ids
+    vals = _edge_valuations(G, v)
     scales = []
-    canonical = {e: 0 for e in vals}
-    for cls in circuit_partition(H):
-        t = math.gcd(*(vals[e] for e in cls))
-        scales.append((tuple(sorted(cls)), t))
-        for e in cls:
-            canonical[e] = vals[e] // t
-    canonical_tf = ThicknessFunction.from_dict(canonical)
+    canonical = [0] * len(vals)
+    for cls in _classes(G, vals)[0]:
+        t = math.gcd(*[vals[i] for i in cls])
+        scales.append((tuple(ids[i] for i in cls), t))
+        for i in cls:
+            canonical[i] = vals[i] // t
     if bound is None:
-        bound = max(canonical.values(), default=0)
+        bound = max(canonical, default=0)
 
-    candidates = []
-    for e in G.edge_ids:
-        if vals[e] == 0:
-            candidates.append(range(bound + 1))
-        else:
-            candidates.append([d for d in _divisors(vals[e]) if d <= bound])
+    # Ascending candidates give the vectors in lexicographic order.  An edge
+    # of nonzero valuation only takes divisors of it, so M never vanishes
+    # there and divides the valuation on every class.
+    candidates = [
+        range(bound + 1) if w == 0 else [d for d in _divisors(w) if d <= bound]
+        for w in vals
+    ]
     valid = []
     for vec in itertools.product(*candidates):
-        M = ThicknessFunction(tuple(zip(G.edge_ids, vec)))
-        if is_thickness_function(G, M) and _scales_consistently(G, M, vals):
-            valid.append(M)
-    valid.sort(key=lambda M: M.vector())
+        classes, _ = _classes(G, vec)
+        scaled = all(len({vals[i] // vec[i] for i in cls}) == 1 for cls in classes)
+        if scaled and _is_valid(G, vec):
+            valid.append(ThicknessFunction(tuple(zip(ids, vec))))
     return TraitFactorisation(
-        v, canonical_tf, tuple(sorted(scales)), bound, tuple(valid)
+        v,
+        ThicknessFunction(tuple(zip(ids, canonical))),
+        tuple(sorted(scales)),
+        bound,
+        tuple(valid),
     )
+
+
+def trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
+    """Separatedness: for any two functions of fact.all_valid, every edge of
+    their overlap (the classes of either side that meet the set where they
+    disagree) has valuation 0."""
+    vals = _edge_valuations(G, fact.valuation)
+    vectors = [M.vector() for M in fact.all_valid]
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1 :]:
+            if any(vals[k] for k in _overlap_positions(G, a, b)):
+                return False
+    return True

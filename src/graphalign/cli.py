@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from pathlib import Path
+from typing import Optional, Sequence
 
 from . import alignment, atlas, formats, resolution, strata
 from .labels import Valuation
@@ -49,6 +50,16 @@ def _valuation_for(G, mapping: dict[str, int]) -> Valuation:
     if extra:
         raise ValueError(f"--valuation names unknown generators {sorted(extra)}")
     return Valuation.from_dict(mapping)
+
+
+def _refuse_existing(out: Optional[str]) -> None:
+    """Refuse an existing output directory before any work is done.
+
+    The directory writers check again when they move their output into
+    place, for a directory made in the meantime.
+    """
+    if out and Path(out).exists():
+        raise FileExistsError(f"refusing to overwrite {out}")
 
 
 def _emit_json(obj) -> None:
@@ -104,6 +115,7 @@ def _cmd_thickness(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    _refuse_existing(args.out)
     G = formats.load_graph(args.graph)
     built = atlas.build_atlas(G, args.max)
     vanishing = args.vanishing.split(",") if args.vanishing else None
@@ -121,6 +133,7 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_resolve(args) -> int:
+    _refuse_existing(args.out)
     G = formats.load_graph(args.graph)
     v = _valuation_for(G, _parse_assignments(args.valuation, "--valuation"))
     trace = resolution.resolve(G, v)
@@ -139,6 +152,7 @@ def _cmd_resolve(args) -> int:
 
 
 def _cmd_strata(args) -> int:
+    _refuse_existing(args.out)
     G = formats.load_graph(args.graph)
     fam = strata.stratify(G)
     if args.out:
@@ -166,16 +180,9 @@ def _cmd_trait(args) -> int:
     print(f"all valid (max {fact.bound}):")
     for M in fact.all_valid:
         print(f"  {M}")
-    pairs = 0
-    ok = True
-    valid = list(fact.all_valid)
-    for i, M in enumerate(valid):
-        for N in valid[i + 1 :]:
-            pairs += 1
-            for e in atlas.overlap_edges(G, M, N):
-                if v.of(G.edge(e).label) != 0:
-                    ok = False
-    print(f"separatedness: {'ok' if ok else 'FAILED'} ({pairs} pairs checked)")
+    n = len(fact.all_valid)
+    verdict = "ok" if atlas.trait_separated(G, fact) else "FAILED"
+    print(f"separatedness: {verdict} ({n * (n - 1) // 2} pairs checked)")
     return 0
 
 

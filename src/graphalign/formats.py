@@ -43,10 +43,13 @@ def monomial_to_obj(m: Monomial) -> dict[str, int]:
 def _monomial_from_obj(obj, where: str) -> Monomial:
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{where}: label must be an object, got {obj!r}")
-    try:
-        return Monomial.from_dict({str(g): e for g, e in obj.items()})
-    except (TypeError, ValueError) as err:
-        raise GraphFormatError(f"{where}: {err}") from err
+    for g, e in obj.items():
+        # bool is a subclass of int, so test the exact type.
+        if type(e) is not int or e < 1:
+            raise GraphFormatError(
+                f"{where}: exponent of {g!r} must be an integer >= 1, got {e!r}"
+            )
+    return Monomial.from_dict(obj)
 
 
 def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
@@ -91,8 +94,10 @@ def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
             or not all(isinstance(v, str) for v in ends)
         ):
             raise GraphFormatError(f"{where}: ends must be a pair of vertex ids")
+        if not isinstance(rec["id"], str):
+            raise GraphFormatError(f"{where}: id must be a string, got {rec['id']!r}")
         label = _monomial_from_obj(rec["label"], where)
-        edges.append((str(rec["id"]), ends[0], ends[1], label))
+        edges.append((rec["id"], ends[0], ends[1], label))
     try:
         return LabelledGraph.build(ctx, verts, edges)
     except ValueError as err:
@@ -126,10 +131,6 @@ def _dump(obj) -> str:
 
 def serialize_graph(G: LabelledGraph) -> str:
     return _dump(graph_to_obj(G))
-
-
-def monomial_str(m: Monomial) -> str:
-    return str(m)
 
 
 def graph_to_dot(
@@ -254,7 +255,23 @@ def _staged_dir(outdir: str | Path):
 def write_atlas(
     atlas: Atlas, outdir: str | Path, vanishing: Optional[Sequence[str]] = None
 ) -> None:
-    """Write atlas.index plus one presentation file per chart and overlap."""
+    """Write atlas.index plus one presentation file per chart and overlap.
+
+    Most overlaps of chart(M) share their presentation with chart(M) or
+    with another of its overlaps, so each distinct text is encoded once
+    and written to every file that has it.
+    """
+    texts: dict[tuple[int, tuple[Monomial, ...]], bytes] = {}
+
+    def write(path: Path, left: ChartPresentation, c: ChartPresentation) -> None:
+        # c is ``left`` with more labels inverted; ``left`` is held by the
+        # atlas, so its id names it for the whole write.
+        key = (id(left), c.inverted)
+        data = texts.get(key)
+        if data is None:
+            data = texts[key] = serialize_chart(c).encode()
+        path.write_bytes(data)
+
     with _staged_dir(outdir) as tmp:
         index: dict = {
             "graph": graph_to_obj(atlas.graph),
@@ -264,7 +281,7 @@ def write_atlas(
         }
         for M, c in atlas.charts.items():
             fname = _chart_filename("chart", M)
-            (tmp / fname).write_text(serialize_chart(c))
+            write(tmp / fname, c, c)
             entry: dict = {"values": M.as_dict(), "file": fname}
             if vanishing is not None:
                 fr = closed_fibre(c, vanishing)
@@ -277,7 +294,7 @@ def write_atlas(
             index["charts"].append(entry)
         for (M, N), ov in atlas.overlaps.items():
             fname = _chart_filename("overlap", M, N)
-            (tmp / fname).write_text(serialize_chart(ov.chart))
+            write(tmp / fname, ov.left_chart, ov.chart)
             index["overlaps"].append(
                 {
                     "left": M.as_dict(),

@@ -443,9 +443,6 @@ class GraphMorphism:
             return m
         return m.restrict(self.kept_generators)
 
-    def vertex_image(self, v: str) -> str:
-        return dict(self.vertex_map)[v]
-
     def edge_image(self, e: str) -> EdgeImage:
         return dict(self.edge_map)[e]
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from graphalign import (
     overlap,
     overlap_edges,
     trait_factorisation,
+    trait_separated,
     verify_chart_substitution,
 )
-from graphalign.atlas import BinomialRelation, TorusRelation
+from graphalign.atlas import BinomialRelation, TorusRelation, TraitFactorisation
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
@@ -109,14 +111,31 @@ class TestEnumerateThickness:
         assert vectors == expected
 
     def test_equals_brute_filter(self):
-        G = load_graph(FIXTURES / "mixed6.graph")
-        listed = [M.vector() for M in enumerate_thickness(G, 2)]
-        brute = [
-            vec
-            for vec in itertools.product(range(3), repeat=len(G.edges))
-            if is_thickness_function(G, ThicknessFunction.from_vector(G, vec))
-        ]
-        assert listed == brute
+        for name, bound in [
+            ("twogon", 4),
+            ("threecycle", 3),
+            ("theta", 3),
+            ("mixed6", 2),
+            ("wheel", 1),
+        ]:
+            G = load_graph(FIXTURES / f"{name}.graph")
+            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_graphs(max_edges=5, max_exp=2))
+    def test_random_graphs_equal_brute_filter(self, G):
+        for bound in (1, 2):
+            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+
+
+def _brute_thickness(G, bound):
+    """The (b+1)^|E| filter, each candidate contracted and partitioned afresh."""
+    out = []
+    for vec in itertools.product(range(bound + 1), repeat=len(G.edges)):
+        M = ThicknessFunction.from_vector(G, vec)
+        if is_thickness_function(G, M):
+            out.append(M)
+    return out
 
 
 class TestBezout:
@@ -263,6 +282,41 @@ class TestBuildAtlas:
             assert verify_chart_substitution(ov.chart)
 
 
+def _assert_atlas_equals_per_pair(G, bound):
+    """build_atlas against chart(G, M) and overlap_edges(G, M, N), pair by pair."""
+    atlas = build_atlas(G, bound)
+    ms = _brute_thickness(G, bound)
+    charts = {M: chart(G, M) for M in ms}
+    assert list(atlas.charts) == ms
+    assert atlas.charts == charts
+    assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
+    labels = G.labels()
+    for (M, N), ov in atlas.overlaps.items():
+        delta = overlap_edges(G, M, N)
+        assert ov.inverted_edges == delta
+        assert ov.left_chart is atlas.charts[M]
+        inverted = list(charts[M].inverted)
+        for e in sorted(delta):
+            if labels[e] not in inverted:
+                inverted.append(labels[e])
+        assert ov.chart == replace(charts[M], inverted=tuple(inverted))
+    # overlap() contracts four times per call, so only a prefix of the pairs.
+    for (M, N), ov in itertools.islice(atlas.overlaps.items(), 500):
+        assert overlap(G, M, N) == (ov.inverted_edges, ov.chart)
+
+
+class TestAtlasEqualsPerPairConstruction:
+    @pytest.mark.parametrize("bound", [1, 2])
+    @pytest.mark.parametrize("name", ["twogon", "threecycle", "theta", "mixed6"])
+    def test_fixtures(self, name, bound):
+        _assert_atlas_equals_per_pair(load_graph(FIXTURES / f"{name}.graph"), bound)
+
+    @settings(max_examples=30, deadline=None)
+    @given(labelled_graphs(max_edges=4, max_exp=2))
+    def test_random_graphs(self, G):
+        _assert_atlas_equals_per_pair(G, 1)
+
+
 class TestClosedFibre:
     def test_twogon_full_chart_fibre(self):
         G = twogon()
@@ -347,6 +401,14 @@ class TestTraitFactorisation:
             for M, N in itertools.combinations(fact.all_valid, 2):
                 for e in overlap_edges(G, M, N):
                     assert vals[e] == 0
+            assert trait_separated(G, fact)
+
+    def test_separatedness_fails_on_a_disagreement_of_valued_edges(self):
+        G = twogon()
+        v = Valuation.from_dict({"x": 1, "y": 1})
+        M, N = tf(G, 1, 1), tf(G, 1, 2)
+        assert not trait_separated(G, TraitFactorisation(v, M, (), 2, (M, N)))
+        assert trait_separated(G, TraitFactorisation(v, M, (), 2, (M,)))
 
 
 def _scales(G, M, vals):

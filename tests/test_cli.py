@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphalign import atlas, resolution, strata
 from graphalign.cli import run
 
 from conftest import FIXTURES
@@ -89,6 +90,30 @@ class TestAtlasCommand:
         out_dir = tmp_path / "atlas"
         assert run(["atlas", TWOGON, "--max", "0", "--out", str(out_dir)]) == 0
         assert run(["atlas", TWOGON, "--max", "0", "--out", str(out_dir)]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, module, work",
+    [
+        (["atlas", TWOGON, "--max", "1"], atlas, "build_atlas"),
+        (["resolve", TWOGON, "--valuation", "x=1,y=1"], resolution, "resolve"),
+        (["strata", TWOGON], strata, "stratify"),
+    ],
+    ids=["atlas", "resolve", "strata"],
+)
+def test_existing_out_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, module, work
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{work} ran although --out exists")
+
+    monkeypatch.setattr(module, work, must_not_run)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert run(argv + ["--out", str(out_dir)]) == 2
+    _, err = out_of(capsys)
+    assert "refusing to overwrite" in err
+    assert list(out_dir.iterdir()) == []
 
 
 class TestResolveCommand:

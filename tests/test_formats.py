@@ -10,12 +10,14 @@ from graphalign.formats import (
     load_graph,
     morphism_merged_vertices,
     parse_graph,
+    serialize_chart,
     serialize_graph,
     strata_poset_dot,
     write_atlas,
     write_strata,
     write_trace,
 )
+from graphalign.cli import run
 from graphalign.graph import specialise
 
 from conftest import FIXTURES
@@ -112,6 +114,31 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError):
             load_graph(tmp_path / "nope.graph")
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ({"id": "e", "label": {"x": 1.7}}, "exponent of 'x' must be an integer"),
+            ({"id": "e", "label": {"x": True}}, "exponent of 'x' must be an integer"),
+            ({"id": "e", "label": {"x": "2"}}, "exponent of 'x' must be an integer"),
+            ({"id": 7, "label": {"x": 1}}, "id must be a string"),
+        ],
+        ids=["float-exponent", "bool-exponent", "string-exponent", "integer-id"],
+    )
+    def test_strict_exponents_and_ids(self, tmp_path, edge, message):
+        text = json.dumps(
+            {
+                "generators": ["x"],
+                "nc": False,
+                "vertices": ["a", "b"],
+                "edges": [{"ends": ["a", "b"], **edge}],
+            }
+        )
+        with pytest.raises(GraphFormatError, match=message):
+            parse_graph(text)
+        path = tmp_path / "bad.graph"
+        path.write_text(text)
+        assert run(["analyze", str(path)]) == 1
+
 
 class TestDot:
     def test_edge_labels_rendered(self):
@@ -144,6 +171,23 @@ class TestDirectoryWriters:
             assert "fibre" in entry
         rendered = json.loads((out / index["charts"][3]["file"]).read_text())["rendered"]
         assert "x = a_e1^1 * u_e1" in rendered
+
+    @pytest.mark.parametrize("name, bound", [("theta", 2), ("mixed6", 1)])
+    def test_atlas_files_equal_unshared_serialisation(self, tmp_path, name, bound):
+        atlas = build_atlas(load_graph(FIXTURES / f"{name}.graph"), bound)
+        out = tmp_path / "atlas"
+        write_atlas(atlas, out)
+        index = json.loads((out / "atlas.index").read_text())
+        expected = {}
+        for entry, c in zip(index["charts"], atlas.charts.values()):
+            expected[entry["file"]] = serialize_chart(c)
+        for entry, ov in zip(index["overlaps"], atlas.overlaps.values()):
+            expected[entry["file"]] = serialize_chart(ov.chart)
+        assert len(expected) == len(atlas.charts) + len(atlas.overlaps)
+        written = {p.name for p in out.iterdir()} - {"atlas.index"}
+        assert written == set(expected)
+        for fname, text in expected.items():
+            assert (out / fname).read_bytes() == text.encode(), fname
 
     def test_atlas_refuses_overwrite(self, tmp_path):
         atlas = build_atlas(twogon(), 0)
