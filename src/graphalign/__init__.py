@@ -50,7 +50,6 @@ from .atlas import (
     overlap,
     overlap_edges,
     trait_factorisation,
-    trait_separated,
     verify_chart_substitution,
 )
 from .resolution import (

@@ -83,11 +83,8 @@ def is_thickness_function(G: LabelledGraph, M: ThicknessFunction) -> bool:
 
     The identically-zero function is valid (no classes survive).
     """
-    H = contracted_graph(G, M)
-    for cls in circuit_partition(H):
-        if math.gcd(*(M.value(e) for e in cls)) != 1:
-            return False
-    return True
+    _check_total(G, M)
+    return _is_valid(G, M.vector())
 
 
 def enumerate_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]:
@@ -99,11 +96,11 @@ def enumerate_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]
     if bound < 0:
         raise ValueError("bound must be >= 0")
     ids = G.edge_ids
-    return [
+    candidates = (
         ThicknessFunction(tuple(zip(ids, vec)))
         for vec in itertools.product(range(bound + 1), repeat=len(ids))
-        if _is_valid(G, vec)
-    ]
+    )
+    return [M for M in candidates if is_thickness_function(G, M)]
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -211,33 +208,6 @@ class ChartPresentation:
         return rels
 
 
-def _assemble_chart(
-    G: LabelledGraph,
-    labels: Mapping[str, Monomial],
-    M: ThicknessFunction,
-    classes: Iterable[tuple[str, ...]],
-) -> ChartPresentation:
-    """The chart of a valid M from the classes of G/Z, each sorted, in sorted order."""
-    values = M.as_dict()
-    chart_classes = []
-    for edges in classes:
-        ms = [values[e] for e in edges]
-        rows = tuple(
-            ClassRow(e, labels[e], m, n) for e, m, n in zip(edges, ms, bezout(ms))
-        )
-        chart_classes.append(ChartClass(edges, rows))
-    inverted = []
-    for e, v in M.values:
-        if v == 0 and labels[e] not in inverted:
-            inverted.append(labels[e])
-    var_names = {c.aligning_var for c in chart_classes}
-    var_names.update(r.unit_var for c in chart_classes for r in c.rows)
-    clash = var_names & set(G.generators.names)
-    if clash:
-        raise ValueError(f"chart variables collide with generators: {sorted(clash)}")
-    return ChartPresentation(G.generators, tuple(chart_classes), tuple(inverted))
-
-
 def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
     """The chart indexed by M.
 
@@ -245,11 +215,29 @@ def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
     torus relation from the Bezout choice; the labels of M(e) = 0 edges go
     to the inverted list.
     """
-    if not is_thickness_function(G, M):
+    _check_total(G, M)
+    vector = M.vector()
+    if not _is_valid(G, vector):
         raise ValueError(f"not a thickness function: {M}")
-    H = contracted_graph(G, M)
-    classes = sorted(tuple(sorted(cls)) for cls in circuit_partition(H))
-    return _assemble_chart(G, G.labels(), M, classes)
+    edges = G.edges
+    chart_classes = []
+    for cls in _classes(G, vector)[0]:
+        ms = [vector[i] for i in cls]
+        rows = tuple(
+            ClassRow(edges[i].id, edges[i].label, m, n)
+            for i, m, n in zip(cls, ms, bezout(ms))
+        )
+        chart_classes.append(ChartClass(tuple(edges[i].id for i in cls), rows))
+    inverted = []
+    for e, v in zip(edges, vector):
+        if v == 0 and e.label not in inverted:
+            inverted.append(e.label)
+    var_names = {c.aligning_var for c in chart_classes}
+    var_names.update(r.unit_var for c in chart_classes for r in c.rows)
+    clash = var_names & set(G.generators.names)
+    if clash:
+        raise ValueError(f"chart variables collide with generators: {sorted(clash)}")
+    return ChartPresentation(G.generators, tuple(chart_classes), tuple(inverted))
 
 
 def _classes(
@@ -336,14 +324,8 @@ def overlap_edges(
     """The disagreement locus: union over both sides of every class meeting {M != N}."""
     _check_total(G, M)
     _check_total(G, N)
-    diff = {e for e, v in M.values if N.value(e) != v}
-    out: set[str] = set()
-    for T in (M, N):
-        H = contracted_graph(G, T)
-        for cls in circuit_partition(H):
-            if cls & diff:
-                out |= cls
-    return frozenset(out)
+    ids = G.edge_ids
+    return frozenset(ids[i] for i in _overlap_positions(G, M.vector(), N.vector()))
 
 
 def overlap(
@@ -400,18 +382,11 @@ class Atlas:
 def build_atlas(G: LabelledGraph, bound: int) -> Atlas:
     """Charts in lexicographic order and one overlap per unordered pair."""
     ms = enumerate_thickness(G, bound)
-    ids = G.edge_ids
-    labels = G.labels()
-    vectors = [M.vector() for M in ms]
-    charts = {}
-    for M, vec in zip(ms, vectors):
-        classes = [tuple(ids[i] for i in cls) for cls in _classes(G, vec)[0]]
-        charts[M] = _assemble_chart(G, labels, M, classes)
+    charts = {M: chart(G, M) for M in ms}
     overlaps = {}
     for i, M in enumerate(ms):
-        for j in range(i + 1, len(ms)):
-            delta = _overlap_positions(G, vectors[i], vectors[j])
-            overlaps[(M, ms[j])] = Overlap(frozenset(ids[k] for k in delta), charts[M])
+        for N in ms[i + 1 :]:
+            overlaps[(M, N)] = Overlap(overlap_edges(G, M, N), charts[M])
     return Atlas(G, bound, charts, overlaps)
 
 

@@ -14,16 +14,22 @@ from graphalign import (
     bezout,
     build_atlas,
     chart,
+    circuit_partition,
     closed_fibre,
+    contracted_graph,
     enumerate_thickness,
     is_thickness_function,
     overlap,
     overlap_edges,
     trait_factorisation,
-    trait_separated,
     verify_chart_substitution,
 )
-from graphalign.atlas import BinomialRelation, TorusRelation, TraitFactorisation
+from graphalign.atlas import (
+    BinomialRelation,
+    TorusRelation,
+    TraitFactorisation,
+    trait_separated,
+)
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
@@ -128,14 +134,32 @@ class TestEnumerateThickness:
             assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
 
 
+# The slow path, kept as the oracle of the zero-pattern cache that the atlas
+# functions share: every call contracts and partitions afresh.
+
+
+def _slow_classes(G, M):
+    return circuit_partition(contracted_graph(G, M))
+
+
+def _slow_valid(G, M):
+    return all(math.gcd(*(M.value(e) for e in cls)) == 1 for cls in _slow_classes(G, M))
+
+
+def _slow_overlap_edges(G, M, N):
+    diff = {e for e, v in M.values if N.value(e) != v}
+    return frozenset(
+        e for T in (M, N) for cls in _slow_classes(G, T) if cls & diff for e in cls
+    )
+
+
 def _brute_thickness(G, bound):
-    """The (b+1)^|E| filter, each candidate contracted and partitioned afresh."""
-    out = []
-    for vec in itertools.product(range(bound + 1), repeat=len(G.edges)):
-        M = ThicknessFunction.from_vector(G, vec)
-        if is_thickness_function(G, M):
-            out.append(M)
-    return out
+    """The (b+1)^|E| filter over the slow validity check."""
+    candidates = (
+        ThicknessFunction.from_vector(G, vec)
+        for vec in itertools.product(range(bound + 1), repeat=len(G.edges))
+    )
+    return [M for M in candidates if _slow_valid(G, M)]
 
 
 class TestBezout:
@@ -283,24 +307,32 @@ class TestBuildAtlas:
 
 
 def _assert_atlas_equals_per_pair(G, bound):
-    """build_atlas against chart(G, M) and overlap_edges(G, M, N), pair by pair."""
+    """build_atlas against the slow path, pair by pair.
+
+    Each chart is built on a fresh copy of G, whose cache holds only that
+    function's zero pattern, and must have the slow path's classes.
+    """
     atlas = build_atlas(G, bound)
     ms = _brute_thickness(G, bound)
-    charts = {M: chart(G, M) for M in ms}
+    charts = {M: chart(replace(G), M) for M in ms}
+    for M, c in charts.items():
+        slow = sorted(tuple(sorted(cls)) for cls in _slow_classes(G, M))
+        assert [cls.edges for cls in c.classes] == slow
     assert list(atlas.charts) == ms
     assert atlas.charts == charts
     assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
     labels = G.labels()
     for (M, N), ov in atlas.overlaps.items():
-        delta = overlap_edges(G, M, N)
+        delta = _slow_overlap_edges(G, M, N)
         assert ov.inverted_edges == delta
+        assert overlap_edges(G, M, N) == delta
         assert ov.left_chart is atlas.charts[M]
         inverted = list(charts[M].inverted)
         for e in sorted(delta):
             if labels[e] not in inverted:
                 inverted.append(labels[e])
         assert ov.chart == replace(charts[M], inverted=tuple(inverted))
-    # overlap() contracts four times per call, so only a prefix of the pairs.
+    # overlap() builds chart(M) on each call, so only a prefix of the pairs.
     for (M, N), ov in itertools.islice(atlas.overlaps.items(), 500):
         assert overlap(G, M, N) == (ov.inverted_edges, ov.chart)
 
