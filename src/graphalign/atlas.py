@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from operator import attrgetter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -221,7 +223,7 @@ def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
         raise ValueError(f"not a thickness function: {M}")
     edges = G.edges
     chart_classes = []
-    for cls in _classes(G, vector)[0]:
+    for cls in _classes(G, vector):
         ms = [vector[i] for i in cls]
         rows = tuple(
             ClassRow(edges[i].id, edges[i].label, m, n)
@@ -240,9 +242,10 @@ def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:
     return ChartPresentation(G.generators, tuple(chart_classes), tuple(inverted))
 
 
-def _classes(
-    G: LabelledGraph, vector: Sequence[int]
-) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+_edge_id = attrgetter("id")
+
+
+def _classes(G: LabelledGraph, vector: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The circuit classes of G/Z, Z the zero set of a value vector.
 
     Validity of a thickness function, the classes of its chart and its
@@ -251,42 +254,43 @@ def _classes(
     kept on G, which is immutable: every call given the same graph shares
     it.  A class is a tuple of edge positions in ``G.edge_ids``, ascending,
     and the classes are ordered by first position, the order of
-    ``circuit_partition`` and of chart classes.  The list gives each edge
-    position its class index, or -1 for a contracted edge.
+    ``circuit_partition`` and of chart classes.
     """
     memo = G.__dict__.setdefault("_zero_patterns", {})
-    key = tuple([v == 0 for v in vector])
+    key = bytes(v == 0 for v in vector)
     found = memo.get(key)
     if found is None:
-        position = {e: i for i, e in enumerate(G.edge_ids)}
-        H, _ = contract(G, [e for e, z in zip(G.edge_ids, key) if z])
-        classes = tuple(
-            tuple(sorted(position[e] for e in cls)) for cls in circuit_partition(H)
+        # No per-edge list or dict besides the one-byte-per-edge key, and the
+        # contracted graph is dropped before the classes are built: a single
+        # validity check on a large graph holds little more memory than the
+        # contraction needs anyway.  The edges are stored sorted by id, so
+        # bisection finds an edge's position.
+        edges = G.edges
+        zero = [e.id for e, z in zip(edges, key) if z]
+        parts = circuit_partition(contract(G, zero)[0])
+        found = memo[key] = tuple(
+            tuple(sorted(bisect_left(edges, e, key=_edge_id) for e in cls))
+            for cls in parts
         )
-        owner = [-1] * len(key)
-        for k, cls in enumerate(classes):
-            for i in cls:
-                owner[i] = k
-        found = memo[key] = (classes, owner)
     return found
 
 
 def _is_valid(G: LabelledGraph, vector: Sequence[int]) -> bool:
-    classes, _ = _classes(G, vector)
-    return all(math.gcd(*[vector[i] for i in cls]) == 1 for cls in classes)
+    return all(
+        math.gcd(*[vector[i] for i in cls]) == 1 for cls in _classes(G, vector)
+    )
 
 
 def _overlap_positions(
     G: LabelledGraph, a: Sequence[int], b: Sequence[int]
 ) -> set[int]:
     """The edge positions of the classes of either side that meet {a != b}."""
-    diff = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    diff = {i for i, (x, y) in enumerate(zip(a, b)) if x != y}
     out: set[int] = set()
     for vector in (a, b):
-        classes, owner = _classes(G, vector)
-        for k in {owner[i] for i in diff}:
-            if k >= 0:
-                out.update(classes[k])
+        for cls in _classes(G, vector):
+            if not diff.isdisjoint(cls):
+                out.update(cls)
     return out
 
 
@@ -474,7 +478,7 @@ def trait_factorisation(
     vals = _edge_valuations(G, v)
     scales = []
     canonical = [0] * len(vals)
-    for cls in _classes(G, vals)[0]:
+    for cls in _classes(G, vals):
         t = math.gcd(*[vals[i] for i in cls])
         scales.append((tuple(ids[i] for i in cls), t))
         for i in cls:
@@ -491,8 +495,9 @@ def trait_factorisation(
     ]
     valid = []
     for vec in itertools.product(*candidates):
-        classes, _ = _classes(G, vec)
-        scaled = all(len({vals[i] // vec[i] for i in cls}) == 1 for cls in classes)
+        scaled = all(
+            len({vals[i] // vec[i] for i in cls}) == 1 for cls in _classes(G, vec)
+        )
         if scaled and _is_valid(G, vec):
             valid.append(ThicknessFunction(tuple(zip(ids, vec))))
     return TraitFactorisation(
