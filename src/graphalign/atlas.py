@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from operator import attrgetter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import LabelledGraph, circuit_partition, contract
@@ -495,11 +495,10 @@ def trait_factorisation(
     ]
     valid = []
     for vec in itertools.product(*candidates):
-        scaled = all(
-            len({vals[i] // vec[i] for i in cls}) == 1 for cls in _classes(G, vec)
-        )
-        if scaled and _is_valid(G, vec):
-            valid.append(ThicknessFunction(tuple(zip(ids, vec))))
+        if all(len({vals[i] // vec[i] for i in cls}) == 1 for cls in _classes(G, vec)):
+            M = ThicknessFunction(tuple(zip(ids, vec)))
+            if is_thickness_function(G, M):
+                valid.append(M)
     return TraitFactorisation(
         v,
         ThicknessFunction(tuple(zip(ids, canonical))),
