@@ -14,14 +14,9 @@ import itertools
 import sys
 import time
 
-from graphalign import (
-    GeneratorSet,
-    LabelledGraph,
-    Monomial,
-    circuit_partition,
-    enumerate_2vc_subgraphs,
-)
-from graphalign.alignment import _class_verdict, _has_common_root
+from graphalign import GeneratorSet, LabelledGraph, Monomial, circuit_partition
+from graphalign.alignment import _class_verdict
+from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs
 
 
 def canonical_shapes(max_vertices, max_edges):

@@ -21,7 +21,6 @@ from .graph import (
     compose,
     connected_components,
     contract,
-    enumerate_2vc_subgraphs,
     first_betti,
     specialise,
 )
@@ -30,7 +29,6 @@ from .alignment import (
     ClassAlignment,
     check_alignment,
     is_aligned,
-    is_aligned_oracle,
     is_irregularly_aligned,
     strong_alignment_level,
 )

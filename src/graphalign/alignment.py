@@ -3,17 +3,14 @@
 A graph is aligned when, class by class of the circuit partition, all
 labels are positive powers of one common element.  Unit labels are only
 admissible when the whole class consists of units; mixed classes fail.
-The brute-force oracle re-derives the verdict from every 2-vertex-connected
-subgraph and an independent common-root search.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import LabelledGraph, circuit_partition, enumerate_2vc_subgraphs
+from .graph import LabelledGraph, circuit_partition
 from .labels import Monomial, power_equivalent, primitive_root
 
 
@@ -78,46 +75,6 @@ def is_aligned(G: LabelledGraph) -> bool:
     return check_alignment(G).aligned
 
 
-def _has_common_root(labels: Sequence[Monomial]) -> bool:
-    """Direct search for l with every label a positive power of l.
-
-    Candidate roots are read off the first label's exponent divisors; no
-    gcd-normalisation shortcut, so this stays independent of
-    primitive_root.
-    """
-    units = [m.is_unit for m in labels]
-    if all(units):
-        return True
-    if any(units):
-        return False
-    first = labels[0]
-    g = math.gcd(*(e for _, e in first.exps))
-    for k in range(1, g + 1):
-        if g % k:
-            continue
-        if any(e % k for _, e in first.exps):
-            continue
-        root = Monomial(tuple((gen, e // k) for gen, e in first.exps))
-        ok = True
-        for m in labels:
-            n = m.exponent(root.exps[0][0]) // root.exps[0][1]
-            if n < 1 or root.pow(n) != m:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def is_aligned_oracle(G: LabelledGraph) -> bool:
-    """Brute force: every 2-vertex-connected subgraph must admit a common root."""
-    by_id = G.labels()
-    for sub in enumerate_2vc_subgraphs(G):
-        if not _has_common_root([by_id[e] for e in sorted(sub)]):
-            return False
-    return True
-
-
 def is_irregularly_aligned(G: LabelledGraph) -> bool:
     """Pairwise power-equivalence within every class.
 
@@ -127,16 +84,16 @@ def is_irregularly_aligned(G: LabelledGraph) -> bool:
     """
     by_id = G.labels()
     for cls in circuit_partition(G):
-        labels = [by_id[e] for e in sorted(cls)]
-        for i in range(len(labels)):
-            for j in range(i + 1, len(labels)):
-                a, b = labels[i], labels[j]
-                if a.is_unit and b.is_unit:
-                    continue
-                if a.is_unit or b.is_unit:
-                    return False
-                if not power_equivalent(a, b):
-                    return False
+        # Power-equivalence is equality of primitive parts, hence transitive:
+        # every pair passes exactly when every label matches the first.
+        a, *rest = [by_id[e] for e in sorted(cls)]
+        for b in rest:
+            if a.is_unit and b.is_unit:
+                continue
+            if a.is_unit or b.is_unit:
+                return False
+            if not power_equivalent(a, b):
+                return False
     return True
 
 

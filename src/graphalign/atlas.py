@@ -21,7 +21,7 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .graph import LabelledGraph, circuit_partition, contract
-from .labels import GeneratorSet, LaurentMonomial, Monomial, Valuation
+from .labels import GeneratorSet, LaurentMonomial, Monomial, Valuation, _is_nc_label
 
 
 @dataclass(frozen=True)
@@ -416,9 +416,7 @@ def closed_fibre(c: ChartPresentation, vanishing: Iterable[str]) -> FibreReport:
         raise ValueError(f"unknown generators {sorted(unknown)!r}")
 
     def check_nc(m: Monomial) -> None:
-        if m.is_unit:
-            return
-        if len(m.exps) != 1 or m.exps[0][1] != 1:
+        if not m.is_unit and not _is_nc_label(m):
             raise ValueError(
                 f"closed-fibre analysis needs single-generator labels, got {m}"
             )

@@ -3,13 +3,11 @@
 Graphs are finite, allow loops and parallel edges, and carry a Monomial
 label per edge.  The central structure is the circuit-connected partition
 of the edge set: loops are singletons, every other class is the edge set
-of a 2-vertex-connected block of the loop-deleted graph.  A brute-force
-enumeration of 2-vertex-connected subgraphs is kept as a test oracle.
+of a 2-vertex-connected block of the loop-deleted graph.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,8 +17,6 @@ EdgePartition = tuple[frozenset[str], ...]
 
 # ("edge", id) when the edge survives, ("vertex", id) when it is contracted.
 EdgeImage = tuple[str, str]
-
-ORACLE_EDGE_CAP = 12
 
 
 class WitnessNotFoundError(ValueError):
@@ -110,7 +106,12 @@ class LabelledGraph:
         return {e.id: e.label for e in self.edges}
 
 
-def connected_components(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
+def _component_min(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
+    """Map each vertex to the least member of its connected component.
+
+    Union-find that always links the larger root under the smaller one, so
+    every root is the least member of its set.
+    """
     parent = {v: v for v in vertices}
 
     def find(v: str) -> str:
@@ -123,9 +124,13 @@ def connected_components(vertices: Iterable[str], pairs: Iterable[tuple[str, str
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
+    return {v: find(v) for v in parent}
+
+
+def connected_components(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
     comps: dict[str, set[str]] = {}
-    for v in parent:
-        comps.setdefault(find(v), set()).add(v)
+    for v, root in _component_min(vertices, pairs).items():
+        comps.setdefault(root, set()).add(v)
     return [frozenset(c) for c in comps.values()]
 
 
@@ -206,55 +211,6 @@ def circuit_partition(G: LabelledGraph) -> EdgePartition:
     classes = [frozenset([e.id]) for e in G.edges if e.is_loop]
     classes.extend(_blocks(G.vertices, [e for e in G.edges if not e.is_loop]))
     return tuple(sorted(classes, key=lambda c: min(c)))
-
-
-def _subset_connected(
-    vertices: set[str], edges: Sequence[Edge], removed: Optional[str] = None
-) -> bool:
-    """Connectivity of the subgraph, with the degenerate conventions.
-
-    The empty graph and a single vertex both count as connected.  When
-    ``removed`` is given, that vertex and its incident edges are deleted
-    first (other vertices stay, possibly isolated).
-    """
-    verts = {v for v in vertices if v != removed}
-    if len(verts) <= 1:
-        return True
-    pairs = [e.ends for e in edges if removed not in e.ends]
-    comps = connected_components(verts, pairs)
-    return len(comps) == 1
-
-
-def enumerate_2vc_subgraphs(G: LabelledGraph) -> list[frozenset[str]]:
-    """All edge subsets inducing a 2-vertex-connected subgraph (oracle only).
-
-    Conventions: a single edge (loop or bridge) is 2-vertex-connected; a
-    subgraph with >= 2 edges must be loop-free, connected, and stay
-    connected after removing any one vertex.  Loops inside larger subsets
-    are excluded so that 2-vertex-connected subgraphs are exactly the
-    circuit-connected ones.
-    """
-    if len(G.edges) > ORACLE_EDGE_CAP:
-        raise ValueError(
-            f"oracle is capped at {ORACLE_EDGE_CAP} edges, got {len(G.edges)}"
-        )
-    by_id = {e.id: e for e in G.edges}
-    out: list[frozenset[str]] = []
-    ids = sorted(by_id)
-    for size in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            edges = [by_id[i] for i in combo]
-            if size == 1:
-                out.append(frozenset(combo))
-                continue
-            if any(e.is_loop for e in edges):
-                continue
-            verts = {v for e in edges for v in e.ends}
-            if not _subset_connected(verts, edges):
-                continue
-            if all(_subset_connected(verts, edges, removed=v) for v in verts):
-                out.append(frozenset(combo))
-    return out
 
 
 def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
@@ -351,7 +307,7 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
             f"edges {e!r} and {f!r} lie in different circuit classes"
         )
 
-    block = [G.edge(i) for i in sorted(cls)]
+    block = [x for x in G.edges if x.id in cls]
     # Tuple sentinels cannot collide with real (string) vertex or edge ids.
     mid = {e: ("~", e), f: ("~", f)}
     adj: dict = {}
@@ -412,11 +368,14 @@ class GraphMorphism:
         for v, w in vm.items():
             if w not in tverts:
                 raise ValueError(f"vertex image {w!r} missing from target")
+        tedges = {e.id: e for e in self.target.edges}
         for e in self.source.edges:
             kind, tid = em[e.id]
             u, v = e.ends
             if kind == "edge":
-                te = self.target.edge(tid)
+                te = tedges.get(tid)
+                if te is None:
+                    raise ValueError(f"unknown edge id {tid!r}")
                 if {vm[u], vm[v]} != set(te.ends):
                     raise ValueError(f"edge {e.id!r}: endpoints do not commute")
                 if self.transform_label(e.label) != te.label:
@@ -471,25 +430,7 @@ def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, 
     if unknown:
         raise ValueError(f"unknown edge ids {sorted(unknown)!r}")
 
-    parent = {v: v for v in G.vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in G.edges:
-        if e.id in to_remove:
-            ra, rb = find(e.ends[0]), find(e.ends[1])
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    classes: dict[str, list[str]] = {}
-    for v in G.vertices:
-        classes.setdefault(find(v), []).append(v)
-    rep = {v: min(classes[find(v)]) for v in G.vertices}
-
+    rep = _component_min(G.vertices, (e.ends for e in G.edges if e.id in to_remove))
     new_vertices = tuple(sorted(set(rep.values())))
     new_edges = tuple(
         _edge(e.id, rep[e.ends[0]], rep[e.ends[1]], e.label)

@@ -117,6 +117,11 @@ def primitive_part(m: Monomial) -> tuple[Monomial, int]:
     return p, k
 
 
+def _is_nc_label(m: Monomial) -> bool:
+    """True iff m is a single generator with exponent 1 (a normal-crossings label)."""
+    return len(m.exps) == 1 and m.exps[0][1] == 1
+
+
 def primitive_root(ms: Sequence[Monomial]) -> Optional[tuple[Monomial, list[int]]]:
     """Common primitive root of a non-empty list of non-unit monomials.
 
@@ -208,12 +213,6 @@ class LaurentMonomial:
     @classmethod
     def from_monomial(cls, m: Monomial) -> "LaurentMonomial":
         return cls(m.exps)
-
-    @classmethod
-    def variable(cls, name: str, exponent: int = 1) -> "LaurentMonomial":
-        if exponent == 0:
-            return cls.one()
-        return cls(((name, exponent),))
 
     @property
     def is_one(self) -> bool:

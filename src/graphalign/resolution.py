@@ -80,6 +80,7 @@ def blowup_step(
     """
     mults = _multiplicities(G)
     vertices = set(G.vertices)
+    taken = set(G.edge_ids)
     new_edges: list[Edge] = []
     records: list[RewriteRecord] = []
     for e in G.edges:
@@ -109,12 +110,11 @@ def blowup_step(
             ]
             rule = "split-three"
             fresh = [w1, w2]
-        clash = (set(fresh) & vertices) | (
-            set(ids) & ({x.id for x in G.edges} | {x.id for x in new_edges})
-        )
+        clash = (set(fresh) & vertices) | (set(ids) & taken)
         if clash:
             raise ValueError(f"fresh ids collide with existing ids: {sorted(clash)}")
         vertices.update(fresh)
+        taken.update(ids)
         new_edges.extend(_edge(i, u, v, l) for i, u, v, l in pieces)
         records.append(RewriteRecord(e.id, rule, ids))
     H = LabelledGraph(

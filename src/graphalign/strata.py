@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .graph import GraphMorphism, LabelledGraph, specialise
-from .labels import GeneratorSet
+from .labels import GeneratorSet, _is_nc_label
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class StratifiedFamily:
         return sorted(self.strata, key=lambda J: (len(J), tuple(sorted(J))))
 
 
-def _require_nc(G: LabelledGraph) -> None:
+def _require_nc(G: LabelledGraph) -> list[str]:
+    """Check that G fits its NC base; return the generators labelling it, sorted."""
     if not G.generators.nc:
         raise ValueError("stratification requires a base declared normal-crossings")
     seen: dict = {}
@@ -53,7 +54,7 @@ def _require_nc(G: LabelledGraph) -> None:
             raise ValueError(
                 f"edge {e.id!r} carries a unit label; contract it before stratifying"
             )
-        if len(m.exps) != 1 or m.exps[0][1] != 1:
+        if not _is_nc_label(m):
             raise ValueError(
                 f"edge {e.id!r}: normal crossings needs single-generator labels, got {m}"
             )
@@ -64,6 +65,7 @@ def _require_nc(G: LabelledGraph) -> None:
                 "normal crossings needs pairwise distinct labels"
             )
         seen[g] = e.id
+    return sorted(seen)
 
 
 def stratify(G: LabelledGraph) -> StratifiedFamily:
@@ -73,8 +75,7 @@ def stratify(G: LabelledGraph) -> StratifiedFamily:
     the specialisation morphism from the controlling graph, plus the
     morphisms along every covering relation of the subset lattice.
     """
-    _require_nc(G)
-    support = sorted({e.label.exps[0][0] for e in G.edges})
+    support = _require_nc(G)
     strata: dict[frozenset[str], Stratum] = {}
     for r in range(len(support) + 1):
         for combo in itertools.combinations(support, r):
@@ -128,9 +129,10 @@ def verify_controlling(fam: StratifiedFamily) -> ControllingReport:
     """Check the controlling-point condition stratum by stratum.
 
     For each stratum J we need some J' within J whose specialisation map
-    contracts no edge (an isomorphism on the underlying graph); the
+    contracts no edge (an isomorphism on the underlying graph).  The
     canonical candidate is the set of generators actually labelling the
-    stratum, with a lattice search as fallback.
+    stratum; the only other one tried is J itself, whose map is the
+    identity.
     """
     witnesses = []
     failures = []
@@ -140,16 +142,8 @@ def verify_controlling(fam: StratifiedFamily) -> ControllingReport:
             g for e in stratum.graph.edges for g in e.label.support
         )
         found: Optional[frozenset[str]] = None
-        candidates = [used] + [
-            frozenset(c)
-            for r in range(len(J), -1, -1)
-            for c in itertools.combinations(sorted(J), r)
-        ]
-        for J2 in candidates:
-            if not J2 <= J:
-                continue
-            phi = specialisation_map(fam, J, J2)
-            if not phi.contracted_edges:
+        for J2 in (used, J):
+            if J2 <= J and not specialisation_map(fam, J, J2).contracted_edges:
                 found = J2
                 break
         if found is None:

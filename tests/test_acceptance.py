@@ -31,7 +31,6 @@ from graphalign import (
     enumerate_thickness,
     first_betti,
     is_aligned,
-    is_aligned_oracle,
     is_thickness_function,
     overlap_edges,
     resolve,
@@ -40,10 +39,11 @@ from graphalign import (
     trait_factorisation,
     verify_chart_substitution,
 )
-from graphalign.alignment import _class_verdict, _has_common_root
+from graphalign.alignment import _class_verdict
 from graphalign.atlas import TorusRelation
 from graphalign.cli import run
 from graphalign.formats import load_graph, parse_graph, serialize_graph
+from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs, is_aligned_oracle
 
 from conftest import FIXTURES
 from strategies import brute_circuit_partition, random_graph, theta, threecycle, twogon
@@ -115,7 +115,6 @@ def test_criterion_1_thickness_examples():
 
 def test_criterion_2_alignment_oracle_equivalence():
     start = time.perf_counter()
-    from graphalign import enumerate_2vc_subgraphs
 
     shapes = _canonical_shapes()
     dummy_names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, 6)}

@@ -7,10 +7,10 @@ from graphalign import (
     LabelledGraph,
     check_alignment,
     is_aligned,
-    is_aligned_oracle,
     is_irregularly_aligned,
     strong_alignment_level,
 )
+from graphalign.oracles import is_aligned_oracle
 
 from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
 

@@ -11,11 +11,11 @@ from graphalign import (
     circuit_witness,
     compose,
     contract,
-    enumerate_2vc_subgraphs,
     first_betti,
     specialise,
 )
 from graphalign.formats import load_graph
+from graphalign.oracles import enumerate_2vc_subgraphs
 
 from conftest import FIXTURES
 from strategies import (
@@ -283,6 +283,16 @@ class TestMorphismValidation:
                 H,
                 (("a", "a"), ("b", "c"), ("c", "c")),
                 (("e1", ("vertex", "a")), ("e2", ("edge", "e2"))),
+            )
+
+    def test_edge_image_missing_from_target_rejected(self):
+        G = twogon()
+        with pytest.raises(ValueError, match="unknown edge id 'e9'"):
+            GraphMorphism(
+                G,
+                G,
+                tuple((v, v) for v in G.vertices),
+                (("e1", ("edge", "e1")), ("e2", ("edge", "e9"))),
             )
 
 

@@ -110,8 +110,8 @@ class TestLaurent:
     def test_mixed_product(self):
         from graphalign import LaurentMonomial
 
-        a = LaurentMonomial.variable("x", 3)
-        b = LaurentMonomial.variable("x", -3) * LaurentMonomial.variable("u")
+        a = LaurentMonomial((("x", 3),))
+        b = LaurentMonomial((("x", -3),)) * LaurentMonomial((("u", 1),))
         assert str(a * b) == "u"
 
     def test_zero_exponents_rejected(self):

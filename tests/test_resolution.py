@@ -71,6 +71,20 @@ class TestBlowupStep:
         with pytest.raises(ValueError):
             blowup_step(twogon())
 
+    def test_fresh_ids_colliding_with_existing_ids_rejected(self):
+        gens = GeneratorSet(("x",))
+        x, x2 = mono(x=1), mono(x=2)
+        edge_clash = LabelledGraph.build(
+            gens, ["a", "b", "c"], [("e", "a", "b", x2), ("e.1", "b", "c", x)]
+        )
+        with pytest.raises(ValueError, match=r"collide.*'e\.1'"):
+            blowup_step(edge_clash)
+        vertex_clash = LabelledGraph.build(
+            gens, ["a", "b", "e@1.1"], [("e", "a", "b", x2), ("f", "b", "e@1.1", x)]
+        )
+        with pytest.raises(ValueError, match=r"collide.*'e@1\.1'"):
+            blowup_step(vertex_clash)
+
     def test_fixpoint_idempotence(self):
         G = twogon(mono(x=1), mono(x=1))
         assert delta(G, Valuation.from_dict({"x": 1, "y": 0})) == 0

@@ -2,8 +2,11 @@ import pytest
 
 from graphalign import (
     GeneratorSet,
+    GraphMorphism,
     LabelledGraph,
     Monomial,
+    StratifiedFamily,
+    Stratum,
     compose,
     specialisation_map,
     stratify,
@@ -127,6 +130,18 @@ class TestVerifyControlling:
         assert witnesses[("x", "y")] == ("x", "y")
         assert witnesses[("x",)] == ("x",)
         assert witnesses[()] == ()
+
+    def test_stratum_labelled_outside_its_index_falls_back_to_itself(self):
+        # Only a hand-built family can label the stratum at J with a generator
+        # outside J; then the labelling set is no candidate and J is the witness.
+        G = twogon(nc=True)
+        J = frozenset({"x"})
+        fam = StratifiedFamily(
+            G.generators, G, {J: Stratum(J, G, GraphMorphism.identity(G))}
+        )
+        report = verify_controlling(fam)
+        assert report.passed
+        assert report.witnesses == ((("x",), ("x",)),)
 
     def test_distinct_single_generator_families_always_pass(self):
         for G in [twogon(nc=True), theta(nc=True), single_loop()]:
