@@ -483,6 +483,8 @@ def trait_factorisation(
             canonical[i] = vals[i] // t
     if bound is None:
         bound = max(canonical, default=0)
+    elif bound < 0:
+        raise ValueError("bound must be >= 0")
 
     # Ascending candidates give the vectors in lexicographic order.  An edge
     # of nonzero valuation only takes divisors of it, so M never vanishes

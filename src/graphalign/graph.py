@@ -451,14 +451,14 @@ def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, 
 
 
 def specialise(
-    G: LabelledGraph, nonunit_gens: Iterable[str], normalise: bool = True
+    G: LabelledGraph, nonunit_gens: Iterable[str]
 ) -> tuple[LabelledGraph, GraphMorphism]:
     """Contract every edge whose label becomes a unit at the target point.
 
     A label becomes a unit exactly when its support is disjoint from
-    ``nonunit_gens``.  With ``normalise`` the surviving labels drop the
-    generators outside ``nonunit_gens`` (unit factors at the target) and
-    the generator context is restricted accordingly.
+    ``nonunit_gens``.  The surviving labels drop the generators outside
+    ``nonunit_gens`` (unit factors at the target) and the generator
+    context is restricted accordingly.
     """
     keep = frozenset(nonunit_gens)
     unknown = keep - set(G.generators.names)
@@ -466,8 +466,6 @@ def specialise(
         raise ValueError(f"unknown generators {sorted(unknown)!r}")
     dead = [e.id for e in G.edges if not (e.label.support & keep)]
     H, phi = contract(G, dead)
-    if not normalise:
-        return H, phi
     ctx = G.generators.restrict(keep)
     H2 = LabelledGraph(
         ctx,

@@ -10,7 +10,7 @@ search for a generic stratum reached without contracting any edge.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import GraphMorphism, LabelledGraph, specialise
@@ -21,26 +21,24 @@ from .labels import GeneratorSet, _is_nc_label
 class Stratum:
     gens: frozenset[str]
     graph: LabelledGraph
-    from_controlling: GraphMorphism
 
 
-@dataclass
+@dataclass(frozen=True)
 class StratifiedFamily:
     base: GeneratorSet
     controlling: LabelledGraph
     strata: dict[frozenset[str], Stratum]
-    covers: dict[tuple[frozenset[str], frozenset[str]], GraphMorphism] = field(
-        default_factory=dict
-    )
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset().union(
-            *(e.label.support for e in self.controlling.edges)
-        ) if self.controlling.edges else frozenset()
 
     def subsets(self) -> list[frozenset[str]]:
         return sorted(self.strata, key=lambda J: (len(J), tuple(sorted(J))))
+
+    @property
+    def covers(self) -> list[tuple[frozenset[str], frozenset[str]]]:
+        """The covering pairs (J, J minus one generator) of the subset lattice.
+
+        ``specialisation_map(fam, J, J2)`` gives the morphism along each.
+        """
+        return [(J, J - {g}) for J in self.subsets() for g in sorted(J)]
 
 
 def _require_nc(G: LabelledGraph) -> list[str]:
@@ -71,28 +69,19 @@ def _require_nc(G: LabelledGraph) -> list[str]:
 def stratify(G: LabelledGraph) -> StratifiedFamily:
     """All strata of the family controlled by G, over its NC base.
 
-    One stratum per subset of the generators appearing on G, together with
-    the specialisation morphism from the controlling graph, plus the
-    morphisms along every covering relation of the subset lattice.
+    One stratum per subset of the generators appearing on G; the morphisms
+    between strata are built on demand by ``specialisation_map``.
     """
     support = _require_nc(G)
+    top = frozenset(support)
     strata: dict[frozenset[str], Stratum] = {}
     for r in range(len(support) + 1):
         for combo in itertools.combinations(support, r):
             J = frozenset(combo)
-            if J == frozenset(support):
-                # The most special stratum is the controlling graph itself,
-                # including generators no label uses.
-                graph, phi = G, GraphMorphism.identity(G)
-            else:
-                graph, phi = specialise(G, J, normalise=True)
-            strata[J] = Stratum(J, graph, phi)
-    fam = StratifiedFamily(G.generators, G, strata)
-    for J in fam.subsets():
-        for g in sorted(J):
-            J2 = J - {g}
-            fam.covers[(J, J2)] = specialisation_map(fam, J, J2)
-    return fam
+            # The most special stratum is the controlling graph itself,
+            # including generators no label uses.
+            strata[J] = Stratum(J, G if J == top else specialise(G, J)[0])
+    return StratifiedFamily(G.generators, G, strata)
 
 
 def specialisation_map(
@@ -112,7 +101,7 @@ def specialisation_map(
     src = fam.strata[J].graph
     if J == J2:
         return GraphMorphism.identity(src)
-    graph, phi = specialise(src, J2, normalise=True)
+    graph, phi = specialise(src, J2)
     if graph != fam.strata[J2].graph:
         raise AssertionError("stratum mismatch; contraction naming bug")
     return phi

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from conftest import FIXTURES
 TWOGON = str(FIXTURES / "twogon.graph")
 THETA = str(FIXTURES / "theta.graph")
 THREECYCLE = str(FIXTURES / "threecycle.graph")
+GOLDEN = Path(__file__).parent / "golden" / "strata_threecycle"
 
 
 def out_of(capsys):
@@ -72,6 +74,12 @@ class TestTrait:
 
     def test_bad_valuation_syntax(self, capsys):
         assert run(["trait", TWOGON, "--valuation", "x=4,y"]) == 2
+
+    def test_negative_max_rejected(self, capsys):
+        assert run(["trait", TWOGON, "--valuation", "x=4,y=6", "--max", "-1"]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "bound must be >= 0" in err
 
 
 class TestAtlasCommand:
@@ -149,6 +157,22 @@ class TestStrataCommand:
 
     def test_non_nc_rejected(self, capsys):
         assert run(["strata", str(FIXTURES / "mixed6.graph")]) == 2
+
+    def test_threecycle_golden_bytes(self, tmp_path, capsys):
+        # The listing, the poset DOT (cover order included) and every file of
+        # the --out directory, byte for byte.
+        listing = (GOLDEN / "stdout.txt").read_text()
+        assert run(["strata", THREECYCLE]) == 0
+        assert out_of(capsys) == (listing, "")
+        assert run(["strata", THREECYCLE, "--format", "dot"]) == 0
+        assert out_of(capsys) == ((GOLDEN / "out" / "poset.dot").read_text(), "")
+        out_dir = tmp_path / "strata"
+        assert run(["strata", THREECYCLE, "--out", str(out_dir)]) == 0
+        assert out_of(capsys) == (listing, "")
+        names = sorted(p.name for p in (GOLDEN / "out").iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        for name in names:
+            assert (out_dir / name).read_bytes() == (GOLDEN / "out" / name).read_bytes(), name
 
 
 class TestExitCodes:

@@ -186,7 +186,7 @@ class TestSpecialise:
     def test_normalise_drops_unit_factor(self):
         gens = GeneratorSet(("x", "y"))
         G = LabelledGraph.build(gens, ["a", "b"], [("e", "a", "b", mono(x=1, y=1))])
-        H, phi = specialise(G, {"y"}, normalise=True)
+        H, phi = specialise(G, {"y"})
         assert H.edge("e").label == mono(y=1)
         assert phi.kept_generators == ("y",)
 
@@ -302,7 +302,7 @@ class TestBettiBookkeeping:
     def test_betti_drop_is_cyclomatic_number_of_contracted_part(self, G):
         # Contract the x-free edges; the drop in b1 equals the cyclomatic
         # number of the contracted subgraph, computed class by class.
-        H, phi = specialise(G, {"x"}, normalise=False)
+        H, phi = specialise(G, {"x"})
         contracted = phi.contracted_edges
         sub_edges = [(e.id, *e.ends, e.label) for e in G.edges if e.id in contracted]
         sub_vertices = {v for _, u, w, _ in sub_edges for v in (u, w)}

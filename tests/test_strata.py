@@ -1,8 +1,9 @@
+import random
+
 import pytest
 
 from graphalign import (
     GeneratorSet,
-    GraphMorphism,
     LabelledGraph,
     Monomial,
     StratifiedFamily,
@@ -13,12 +14,22 @@ from graphalign import (
     verify_controlling,
 )
 
-from strategies import mono, theta, twogon
+from strategies import mono, random_graph, theta, threecycle, twogon
 
 
 def single_loop():
     gens = GeneratorSet(("x",), nc=True)
     return LabelledGraph.build(gens, ["a"], [("l", "a", "a", mono(x=1))])
+
+
+def nc_relabel(G):
+    """G with its own generator g<i> on the i-th edge, over an NC base."""
+    gens = GeneratorSet(tuple(f"g{i}" for i in range(len(G.edges))), nc=True)
+    return LabelledGraph.build(
+        gens,
+        G.vertices,
+        [(e.id, *e.ends, mono(**{f"g{i}": 1})) for i, e in enumerate(G.edges)],
+    )
 
 
 class TestStratify:
@@ -136,9 +147,7 @@ class TestVerifyControlling:
         # outside J; then the labelling set is no candidate and J is the witness.
         G = twogon(nc=True)
         J = frozenset({"x"})
-        fam = StratifiedFamily(
-            G.generators, G, {J: Stratum(J, G, GraphMorphism.identity(G))}
-        )
+        fam = StratifiedFamily(G.generators, G, {J: Stratum(J, G)})
         report = verify_controlling(fam)
         assert report.passed
         assert report.witnesses == ((("x",), ("x",)),)
@@ -156,3 +165,27 @@ class TestVerifyControlling:
             (frozenset({"y"}), frozenset()),
         }
         assert set(fam.covers) == expected_pairs
+
+
+def assert_covers_consistent(fam):
+    """Each cover J -> J - {g} maps between the stored strata (the stratum
+    check inside specialisation_map) and contracts exactly the edge of g."""
+    edge_of = {e.label.exps[0][0]: e.id for e in fam.controlling.edges}
+    k = len(edge_of)
+    assert len(fam.covers) == k * 2**k // 2
+    for J, J2 in fam.covers:
+        (g,) = J - J2
+        assert specialisation_map(fam, J, J2).contracted_edges == {edge_of[g]}
+
+
+@pytest.mark.parametrize("build", [twogon, threecycle, theta])
+def test_every_cover_contracts_the_dropped_generators_edge(build):
+    assert_covers_consistent(stratify(build(nc=True)))
+
+
+def test_every_cover_contracts_the_dropped_generators_edge_on_random_shapes():
+    graphs = (random_graph(random.Random(seed), max_edges=6) for seed in range(100))
+    shapes = [G for G in graphs if G.edges][:50]
+    assert len(shapes) == 50
+    for G in shapes:
+        assert_covers_consistent(stratify(nc_relabel(G)))

@@ -1,4 +1,5 @@
-"""Runs in a fresh interpreter: the two scripts, and a bare package import."""
+"""Runs in a fresh interpreter: the two scripts, a bare package import and the
+benchmark's own tests."""
 
 import os
 import subprocess
@@ -37,3 +38,10 @@ def test_package_import_leaves_oracles_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_self_tests_pass():
+    # The benchmark's tracer patches graphalign functions by module and name,
+    # so renaming one of them must fail here and not only in a benchmark run.
+    proc = run_python("-m", "unittest", "discover", "-s", "perfbench")
+    assert proc.returncode == 0, proc.stderr
