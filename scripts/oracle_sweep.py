@@ -3,9 +3,11 @@
 
 Enumerates multigraph shapes up to isomorphism (default: at most 4
 vertices and 5 edges), checks the circuit partition against the
-brute-force maximal-circuit computation, and sweeps every labelling of
-the structurally relevant edges to compare the partition-based alignment
-test with the 2-vertex-connected-subgraph oracle.  Prints counts; exits
+brute-force maximal-circuit computation, checks that the witness for
+every ordered pair of edges in one class is an enumerated circuit
+through both, and sweeps every labelling of the structurally relevant
+edges to compare the partition-based alignment test with the
+2-vertex-connected-subgraph oracle.  Prints counts; exits
 non-zero on any mismatch.
 """
 
@@ -14,7 +16,13 @@ import itertools
 import sys
 import time
 
-from graphalign import GeneratorSet, LabelledGraph, Monomial, circuit_partition
+from graphalign import (
+    GeneratorSet,
+    LabelledGraph,
+    Monomial,
+    circuit_partition,
+    circuit_witness,
+)
 from graphalign.alignment import _class_verdict
 from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs
 
@@ -43,8 +51,8 @@ def shape_graph(shape, labels):
     )
 
 
-def brute_partition(G):
-    """Maximal circuit-connected sets from explicit circuit enumeration."""
+def brute_circuits(G):
+    """Every circuit of G, as a frozenset of edge ids, by explicit enumeration."""
     ids = sorted(G.edge_ids)
     circuits = []
     for size in range(1, len(ids) + 1):
@@ -67,8 +75,13 @@ def brute_partition(G):
                         frontier.append(e.other_end(at))
             if seen == verts:
                 circuits.append(frozenset(combo))
+    return circuits
+
+
+def brute_partition(G, circuits):
+    """Maximal circuit-connected sets from the enumerated circuits of G."""
     classes = set()
-    for e in ids:
+    for e in sorted(G.edge_ids):
         x = {e}
         for c in circuits:
             if e in c:
@@ -92,16 +105,25 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = 0
+    mismatches = swept = witnessed = 0
     class_cache, root_cache = {}, {}
     names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, args.max_edges + 1)}
 
     for shape in shapes:
         G0 = shape_graph(shape, [alphabet[0]] * len(shape))
-        if circuit_partition(G0) != brute_partition(G0):
+        circuits = set(brute_circuits(G0))
+        if circuit_partition(G0) != brute_partition(G0, circuits):
             print(f"PARTITION MISMATCH on shape {shape}")
             mismatches += 1
             continue
+        for cls in circuit_partition(G0):
+            for e, f in itertools.permutations(sorted(cls), 2):
+                w = circuit_witness(G0, e, f)
+                witnessed += 1
+                is_circuit = len(set(w)) == len(w) and frozenset(w) in circuits
+                if not is_circuit or w[0] != e or f not in w:
+                    print(f"WITNESS MISMATCH on shape {shape}, edges {e} {f}: {w}")
+                    mismatches += 1
         idx = {e: i for i, e in enumerate(G0.edge_ids)}
         cgroups = [
             tuple(sorted(idx[e] for e in cls))
@@ -148,7 +170,7 @@ def main(argv=None):
     elapsed = time.time() - start
     print(
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
-        f"{mismatches} mismatches ({elapsed:.1f}s)"
+        f"{witnessed} witnesses checked, {mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0
 

@@ -8,6 +8,7 @@ violation.  Output is deterministic for fixed input and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -186,7 +187,9 @@ def _cmd_trait(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="graphalign",
         description="Alignment analysis and chart atlases for labelled graphs.",

@@ -8,8 +8,9 @@ of a 2-vertex-connected block of the loop-deleted graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .labels import GeneratorSet, Monomial
 
@@ -206,11 +207,16 @@ def circuit_partition(G: LabelledGraph) -> EdgePartition:
 
     Loops are singleton classes; the remaining classes are the edge sets
     of the 2-vertex-connected blocks of the loop-deleted graph (bridges
-    yield singletons).
+    yield singletons).  The result is kept on G, which is immutable, so
+    every later call on the same graph (the alignment checks, each
+    ``circuit_witness``) returns it without a second block search.
     """
-    classes = [frozenset([e.id]) for e in G.edges if e.is_loop]
-    classes.extend(_blocks(G.vertices, [e for e in G.edges if not e.is_loop]))
-    return tuple(sorted(classes, key=lambda c: min(c)))
+    found = G.__dict__.get("_circuit_partition")
+    if found is None:
+        classes = [frozenset([e.id]) for e in G.edges if e.is_loop]
+        classes.extend(_blocks(G.vertices, [e for e in G.edges if not e.is_loop]))
+        found = G.__dict__["_circuit_partition"] = tuple(sorted(classes, key=min))
+    return found
 
 
 def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
@@ -218,10 +224,17 @@ def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
 
     Unit-capacity augmenting paths on the vertex-split network; two
     augmentations always succeed here because the callers only ask inside
-    a 2-vertex-connected block.
+    a 2-vertex-connected block.  Each augmentation is one breadth-first
+    search that reads a node's backward arcs from the list of arcs into
+    that node, so it costs O(V + E) on the block (Edmonds-Karp with an
+    indexed residual network).
     """
     # Nodes are (v, "in") / (v, "out"); src and dst are not split.
     flow: dict[tuple, int] = {}
+    # Arcs by head node, each recorded when it first carries flow: the
+    # candidates for the node's residual (backward) arcs, in the order of
+    # ``flow``.
+    into: dict[tuple, list[tuple]] = {}
 
     def residual_neighbours(node):
         kind = node[1]
@@ -243,16 +256,16 @@ def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
                     if flow.get((node, tgt, eid), 0) < 1:
                         yield tgt, (node, tgt, eid), 1
         # Residual (backward) arcs.
-        for (a, b, eid), used in flow.items():
-            if used > 0 and b == node:
-                yield a, (a, b, eid), -1
+        for arc in into.get(node, ()):
+            if flow[arc] > 0:
+                yield arc[0], arc, -1
 
     source, sink = (src, "io"), (dst, "io")
     for _ in range(2):
         prev: dict[tuple, tuple] = {source: None}
-        queue = [source]
+        queue = deque([source])
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             if node == sink:
                 break
             for tgt, arc, direction in residual_neighbours(node):
@@ -264,6 +277,8 @@ def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
         node = sink
         while prev[node] is not None:
             parent, arc, direction = prev[node]
+            if arc not in flow:
+                into.setdefault(arc[1], []).append(arc)
             flow[arc] = flow.get(arc, 0) + direction
             node = parent
 
@@ -419,11 +434,11 @@ class GraphMorphism:
         )
 
 
-def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, GraphMorphism]:
-    """Remove the given edges and merge their endpoint classes.
-
-    Merged vertices take the lexicographically least member id, so the
-    result is reproducible.
+def _contraction(
+    G: LabelledGraph, edge_ids: Iterable[str], label: Callable[[Monomial], Monomial]
+) -> tuple[tuple[str, ...], tuple[Edge, ...], tuple, tuple]:
+    """Vertices, relabelled edges, vertex map and edge map of G with the given
+    edges contracted, as ``contract`` describes; the edges keep their order.
     """
     to_remove = set(edge_ids)
     unknown = to_remove - set(G.edge_ids)
@@ -431,23 +446,29 @@ def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, 
         raise ValueError(f"unknown edge ids {sorted(unknown)!r}")
 
     rep = _component_min(G.vertices, (e.ends for e in G.edges if e.id in to_remove))
-    new_vertices = tuple(sorted(set(rep.values())))
-    new_edges = tuple(
-        _edge(e.id, rep[e.ends[0]], rep[e.ends[1]], e.label)
+    vertices = tuple(sorted(set(rep.values())))
+    edges = tuple(
+        _edge(e.id, rep[e.ends[0]], rep[e.ends[1]], label(e.label))
         for e in G.edges
         if e.id not in to_remove
     )
-    H = LabelledGraph(G.generators, new_vertices, new_edges)
-    phi = GraphMorphism(
-        G,
-        H,
-        tuple((v, rep[v]) for v in G.vertices),
-        tuple(
-            (e.id, ("vertex", rep[e.ends[0]]) if e.id in to_remove else ("edge", e.id))
-            for e in G.edges
-        ),
+    vertex_map = tuple((v, rep[v]) for v in G.vertices)
+    edge_map = tuple(
+        (e.id, ("vertex", rep[e.ends[0]]) if e.id in to_remove else ("edge", e.id))
+        for e in G.edges
     )
-    return H, phi
+    return vertices, edges, vertex_map, edge_map
+
+
+def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, GraphMorphism]:
+    """Remove the given edges and merge their endpoint classes.
+
+    Merged vertices take the lexicographically least member id, so the
+    result is reproducible.
+    """
+    vertices, edges, vertex_map, edge_map = _contraction(G, edge_ids, lambda m: m)
+    H = LabelledGraph(G.generators, vertices, edges)
+    return H, GraphMorphism(G, H, vertex_map, edge_map)
 
 
 def specialise(
@@ -465,16 +486,12 @@ def specialise(
     if unknown:
         raise ValueError(f"unknown generators {sorted(unknown)!r}")
     dead = [e.id for e in G.edges if not (e.label.support & keep)]
-    H, phi = contract(G, dead)
-    ctx = G.generators.restrict(keep)
-    H2 = LabelledGraph(
-        ctx,
-        H.vertices,
-        tuple(Edge(e.id, e.ends, e.label.restrict(keep)) for e in H.edges),
+    vertices, edges, vertex_map, edge_map = _contraction(
+        G, dead, lambda m: m.restrict(keep)
     )
-    kept = ctx.names
-    phi2 = GraphMorphism(G, H2, phi.vertex_map, phi.edge_map, kept_generators=kept)
-    return H2, phi2
+    ctx = G.generators.restrict(keep)
+    H = LabelledGraph(ctx, vertices, edges)
+    return H, GraphMorphism(G, H, vertex_map, edge_map, kept_generators=ctx.names)
 
 
 def compose(m1: GraphMorphism, m2: GraphMorphism) -> GraphMorphism:

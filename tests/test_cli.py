@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from graphalign import atlas, resolution, strata
+from graphalign import atlas, graph, resolution, strata
 from graphalign.cli import run
 
 from conftest import FIXTURES
@@ -37,6 +37,22 @@ class TestAnalyze:
         assert run(["analyze", TWOGON, "--format", "dot"]) == 0
         out, _ = out_of(capsys)
         assert out.startswith('graph "G"')
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
+    def test_one_block_search_per_graph(self, capsys, monkeypatch, name, fmt):
+        # The three alignment passes share the partition kept on the graph.
+        searches = []
+        blocks = graph._blocks
+
+        def counting(*args):
+            searches.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(graph, "_blocks", counting)
+        assert run(["analyze", str(FIXTURES / f"{name}.graph"), "--format", fmt]) == 0
+        out_of(capsys)
+        assert len(searches) == 1
 
 
 class TestThickness:

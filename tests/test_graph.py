@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -65,6 +68,39 @@ class TestCircuitPartition:
         maximal = {s for s in subs if not any(s < t for t in subs)}
         assert part == maximal
 
+    def test_second_call_returns_the_kept_partition(self):
+        G = load_graph(FIXTURES / "wheel.graph")
+        assert circuit_partition(G) is circuit_partition(G)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_graphs())
+    def test_kept_partition_matches_a_fresh_copy(self, G):
+        first = circuit_partition(G)
+        fresh = LabelledGraph(G.generators, G.vertices, G.edges)
+        assert circuit_partition(G) == circuit_partition(fresh) == first
+
+    def test_kept_partition_leaves_equality_alone(self):
+        G = twogon()
+        circuit_partition(G)
+        assert G == twogon() and hash(G) == hash(twogon())
+
+
+GOLDEN_WITNESSES = json.loads(
+    (Path(__file__).parent / "golden" / "witnesses.json").read_text()
+)
+
+
+def _unlabelled(edges):
+    x = mono(x=1)
+    vertices = {v for _, a, b in edges for v in (a, b)}
+    return LabelledGraph.build(
+        GeneratorSet(("x",)), vertices, [(i, a, b, x) for i, a, b in edges]
+    )
+
+
+def _cycle(n):
+    return _unlabelled([(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+
 
 class TestCircuitWitness:
     def test_twogon(self):
@@ -104,6 +140,31 @@ class TestCircuitWitness:
                     assert e in w and f in w
                     assert len(set(w)) == len(w)
                     assert frozenset(w) in circuits
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WITNESSES["fixtures"]))
+    def test_golden_fixture_witnesses(self, name):
+        G = load_graph(FIXTURES / f"{name}.graph")
+        rows = GOLDEN_WITNESSES["fixtures"][name]
+        pairs = [
+            (e, f) for cls in circuit_partition(G) for e in sorted(cls) for f in sorted(cls) if e != f
+        ]
+        assert sorted(pairs) == sorted((e, f) for e, f, _ in rows)
+        for e, f, circuit in rows:
+            assert circuit_witness(G, e, f) == circuit
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WITNESSES["graphs"]))
+    def test_golden_generated_witnesses(self, name):
+        entry = GOLDEN_WITNESSES["graphs"][name]
+        G = _unlabelled(entry["edges"])
+        for e, f, circuit in entry["witnesses"]:
+            assert circuit_witness(G, e, f) == circuit
+
+    def test_long_cycle(self):
+        # Each augmenting path costs O(V + E) on the block, so a witness on
+        # 20,000 edges is cheap; a quadratic search would take about a minute.
+        n = 20000
+        w = circuit_witness(_cycle(n), "e0", "e10000")
+        assert w == ["e0"] + [f"e{i}" for i in range(n - 1, 0, -1)]
 
 
 def _circuit_sets(G):
@@ -189,6 +250,20 @@ class TestSpecialise:
         H, phi = specialise(G, {"y"})
         assert H.edge("e").label == mono(y=1)
         assert phi.kept_generators == ("y",)
+
+    def test_builds_one_checked_morphism(self, monkeypatch):
+        checks = []
+        check = GraphMorphism.__post_init__
+
+        def counting(self):
+            checks.append(self)
+            check(self)
+
+        monkeypatch.setattr(GraphMorphism, "__post_init__", counting)
+        G = load_graph(FIXTURES / "wheel.graph")
+        H, phi = specialise(G, G.generators.names[:1])
+        assert checks == [phi]
+        assert phi.target is H and phi.kept_generators == G.generators.names[:1]
 
     def test_contraction_criterion(self):
         gens = GeneratorSet(("x", "y", "z"))
