@@ -5,14 +5,16 @@ Enumerates multigraph shapes up to isomorphism (default: at most 4
 vertices and 5 edges), checks the circuit partition against the
 brute-force maximal-circuit computation, checks that the witness for
 every ordered pair of edges in one class is an enumerated circuit
-through both, and sweeps every labelling of the structurally relevant
-edges to compare the partition-based alignment test with the
-2-vertex-connected-subgraph oracle.  Prints counts; exits
+through both, checks the graph writer against ``json.dumps`` and the
+parser on one labelling of every shape, and sweeps every labelling of
+the structurally relevant edges to compare the partition-based alignment
+test with the 2-vertex-connected-subgraph oracle.  Prints counts; exits
 non-zero on any mismatch.
 """
 
 import argparse
 import itertools
+import json
 import sys
 import time
 
@@ -24,6 +26,7 @@ from graphalign import (
     circuit_witness,
 )
 from graphalign.alignment import _class_verdict
+from graphalign.formats import graph_to_obj, parse_graph, serialize_graph
 from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs
 
 
@@ -105,11 +108,19 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = 0
+    mismatches = swept = witnessed = written = 0
     class_cache, root_cache = {}, {}
     names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, args.max_edges + 1)}
 
     for shape in shapes:
+        # Cycling through the alphabet gives unit labels, powers, and shared
+        # labels once a shape has more edges than the alphabet has entries.
+        G = shape_graph(shape, [alphabet[i % len(alphabet)] for i in range(len(shape))])
+        text = serialize_graph(G)
+        written += 1
+        if text != json.dumps(graph_to_obj(G), indent=2) + "\n" or parse_graph(text) != G:
+            print(f"WRITER MISMATCH on shape {shape}")
+            mismatches += 1
         G0 = shape_graph(shape, [alphabet[0]] * len(shape))
         circuits = set(brute_circuits(G0))
         if circuit_partition(G0) != brute_partition(G0, circuits):
@@ -170,7 +181,8 @@ def main(argv=None):
     elapsed = time.time() - start
     print(
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
-        f"{witnessed} witnesses checked, {mismatches} mismatches ({elapsed:.1f}s)"
+        f"{witnessed} witnesses checked, {written} graph texts checked, "
+        f"{mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0
 

@@ -401,6 +401,22 @@ class FibreReport:
     torus_rank: int
 
 
+def check_fibre_point(
+    base: GeneratorSet, labels: Iterable[Monomial], vanishing: Iterable[str]
+) -> None:
+    """Refuse what ``closed_fibre`` cannot analyse: a vanishing generator
+    outside the base, or a label that is neither a unit nor a single
+    generator with exponent 1 (checked in the order given)."""
+    unknown = frozenset(vanishing) - set(base.names)
+    if unknown:
+        raise ValueError(f"unknown generators {sorted(unknown)!r}")
+    for m in labels:
+        if not m.is_unit and not _is_nc_label(m):
+            raise ValueError(
+                f"closed-fibre analysis needs single-generator labels, got {m}"
+            )
+
+
 def closed_fibre(c: ChartPresentation, vanishing: Iterable[str]) -> FibreReport:
     """Fibre of the chart over the point where exactly ``vanishing`` vanishes.
 
@@ -411,21 +427,8 @@ def closed_fibre(c: ChartPresentation, vanishing: Iterable[str]) -> FibreReport:
     factor of rank (#edges - 1).
     """
     vanishing = frozenset(vanishing)
-    unknown = vanishing - set(c.base.names)
-    if unknown:
-        raise ValueError(f"unknown generators {sorted(unknown)!r}")
-
-    def check_nc(m: Monomial) -> None:
-        if not m.is_unit and not _is_nc_label(m):
-            raise ValueError(
-                f"closed-fibre analysis needs single-generator labels, got {m}"
-            )
-
-    for m in c.inverted:
-        check_nc(m)
-    for cls in c.classes:
-        for row in cls.rows:
-            check_nc(row.label)
+    rows = (row.label for cls in c.classes for row in cls.rows)
+    check_fibre_point(c.base, itertools.chain(c.inverted, rows), vanishing)
 
     def vanishes(m: Monomial) -> bool:
         return bool(m.support & vanishing)

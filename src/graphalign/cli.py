@@ -10,12 +10,33 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import alignment, atlas, formats, resolution, strata
 from .labels import Valuation
+
+
+# An integer argument is ASCII digits.  A minus sign before digits that are
+# not all zero is read too, as a negative number, so that the range check
+# of the option refuses it with its own message.
+_INTEGER = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")
+
+
+def _integer(text: str) -> int:
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _bound(text: str) -> int:
+    """argparse type of ``--max``."""
+    try:
+        return _integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _parse_assignments(text: str, flag: str) -> dict[str, int]:
@@ -28,7 +49,7 @@ def _parse_assignments(text: str, flag: str) -> dict[str, int]:
         if key in out:
             raise ValueError(f"{flag}: duplicate key {key!r}")
         try:
-            out[key] = int(val)
+            out[key] = _integer(val)
         except ValueError:
             raise ValueError(f"{flag}: {val!r} is not an integer") from None
         if out[key] < 0:
@@ -38,9 +59,21 @@ def _parse_assignments(text: str, flag: str) -> dict[str, int]:
 
 def _parse_vector(text: str, flag: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",")]
+        return [_integer(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag}: expected comma-separated integers") from None
+
+
+def _parse_vanishing(G, text: Optional[str]) -> Optional[list[str]]:
+    """The ``--vanishing`` generators, checked against G before any work."""
+    if not text:
+        return None
+    vanishing = text.split(",")
+    dup = sorted({g for g in vanishing if vanishing.count(g) > 1})
+    if dup:
+        raise ValueError(f"--vanishing: duplicate generators {dup!r}")
+    atlas.check_fibre_point(G.generators, (e.label for e in G.edges), vanishing)
+    return vanishing
 
 
 def _valuation_for(G, mapping: dict[str, int]) -> Valuation:
@@ -118,8 +151,8 @@ def _cmd_thickness(args) -> int:
 def _cmd_atlas(args) -> int:
     _refuse_existing(args.out)
     G = formats.load_graph(args.graph)
+    vanishing = _parse_vanishing(G, args.vanishing)
     built = atlas.build_atlas(G, args.max)
-    vanishing = args.vanishing.split(",") if args.vanishing else None
     formats.write_atlas(built, args.out, vanishing=vanishing)
     print(f"charts: {len(built.charts)}")
     print(f"overlaps: {len(built.overlaps)}")
@@ -203,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thickness", help="enumerate or validate thickness functions")
     p.add_argument("graph")
-    p.add_argument("--max", type=int)
+    p.add_argument("--max", type=_bound)
     p.add_argument("--validate", help="edge-id-sorted values v1,v2,...")
     p.set_defaults(fn=_cmd_thickness)
 
     p = sub.add_parser("atlas", help="write the chart atlas directory")
     p.add_argument("graph")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_bound, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vanishing", help="generators g1,g2,... for the fibre summary")
     p.set_defaults(fn=_cmd_atlas)
@@ -230,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trait", help="factor a valuation through the atlas")
     p.add_argument("graph")
     p.add_argument("--valuation", required=True, help="k=v,... on the generators")
-    p.add_argument("--max", type=int)
+    p.add_argument("--max", type=_bound)
     p.set_defaults(fn=_cmd_trait)
 
     return parser

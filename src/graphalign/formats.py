@@ -40,7 +40,11 @@ def monomial_to_obj(m: Monomial) -> dict[str, int]:
     return {g: e for g, e in m.exps}
 
 
-def _monomial_from_obj(obj, where: str) -> Monomial:
+def _monomial_from_obj(
+    obj, where: str, interned: dict[tuple[tuple[str, int], ...], Monomial]
+) -> Monomial:
+    """Validate a label object, then return the one ``Monomial`` that
+    ``interned`` holds for its exponents (made and added on first sight)."""
     if not isinstance(obj, dict):
         raise GraphFormatError(f"{where}: label must be an object, got {obj!r}")
     for g, e in obj.items():
@@ -49,7 +53,12 @@ def _monomial_from_obj(obj, where: str) -> Monomial:
             raise GraphFormatError(
                 f"{where}: exponent of {g!r} must be an integer >= 1, got {e!r}"
             )
-    return Monomial.from_dict(obj)
+    # Keyed only after validation: True and 1.0 compare equal to 1.
+    exps = tuple(sorted(obj.items()))
+    m = interned.get(exps)
+    if m is None:
+        m = interned[exps] = Monomial(exps)
+    return m
 
 
 def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
@@ -80,6 +89,7 @@ def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
     except ValueError as err:
         raise GraphFormatError(f"{source}: {err}") from err
     edges = []
+    labels: dict[tuple[tuple[str, int], ...], Monomial] = {}
     for i, rec in enumerate(data["edges"]):
         where = f"{source}: edges[{i}]"
         if not isinstance(rec, dict):
@@ -96,7 +106,7 @@ def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
             raise GraphFormatError(f"{where}: ends must be a pair of vertex ids")
         if not isinstance(rec["id"], str):
             raise GraphFormatError(f"{where}: id must be a string, got {rec['id']!r}")
-        label = _monomial_from_obj(rec["label"], where)
+        label = _monomial_from_obj(rec["label"], where, labels)
         edges.append((rec["id"], ends[0], ends[1], label))
     try:
         return LabelledGraph.build(ctx, verts, edges)
@@ -129,8 +139,43 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _top_list(items: Sequence[str]) -> str:
+    """Encoded items laid out as a list in a top-level field of
+    ``json.dumps(obj, indent=2)``."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 def serialize_graph(G: LabelledGraph) -> str:
-    return _dump(graph_to_obj(G))
+    """The canonical text of G, equal to ``_dump(graph_to_obj(G))``.
+
+    Written in one pass over the edges, with each distinct label's fragment
+    encoded once: ``json.dumps`` would run its pure-Python indenting encoder
+    over one object per edge.
+    """
+    vertices = {v: _quote(v) for v in G.vertices}
+    labels: dict[Monomial, str] = {}
+    edges = []
+    for e in G.edges:
+        label = labels.get(e.label)
+        if label is None:
+            items = ",".join(f"\n        {_quote(g)}: {k}" for g, k in e.label.exps)
+            label = labels[e.label] = "{" + items + "\n      }" if items else "{}"
+        u, w = e.ends
+        edges.append(
+            f'{{\n      "id": {_quote(e.id)},\n      "ends": [\n'
+            f"        {vertices[u]},\n        {vertices[w]}\n      ],\n"
+            f'      "label": {label}\n    }}'
+        )
+    generators = _top_list([_quote(g) for g in G.generators.names])
+    nc = "true" if G.generators.nc else "false"
+    return (
+        f'{{\n  "generators": {generators},\n  "nc": {nc},\n'
+        f'  "vertices": {_top_list(list(vertices.values()))},\n'
+        f'  "edges": {_top_list(edges)}\n}}\n'
+    )
 
 
 def graph_to_dot(

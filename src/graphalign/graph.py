@@ -70,15 +70,20 @@ class LabelledGraph:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
         vset = set(self.vertices)
+        # Labels are shared between edges, so each distinct label's
+        # generators are checked once, at the first edge that carries it.
+        checked: set[Monomial] = set()
         for e in self.edges:
             for v in e.ends:
                 if v not in vset:
                     raise ValueError(f"edge {e.id!r} references unknown vertex {v!r}")
-            for g in e.label.support:
-                if g not in self.generators:
-                    raise ValueError(
-                        f"edge {e.id!r} label uses unknown generator {g!r}"
-                    )
+            if e.label not in checked:
+                for g, _ in e.label.exps:
+                    if g not in self.generators:
+                        raise ValueError(
+                            f"edge {e.id!r} label uses unknown generator {g!r}"
+                        )
+                checked.add(e.label)
 
     @classmethod
     def build(

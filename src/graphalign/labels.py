@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 
@@ -42,7 +43,9 @@ class Monomial:
 
     The empty exponent vector is the unit.  Instances are immutable and
     hashable; construction normalises nothing away, so exponents must be
-    positive up front.
+    positive up front.  Derived facts (``support``, ``primitive_part``) are
+    computed once and kept in the instance's ``__dict__``, outside the
+    fields that equality and hashing read.
     """
 
     exps: tuple[tuple[str, int], ...] = ()
@@ -71,7 +74,7 @@ class Monomial:
     def is_unit(self) -> bool:
         return not self.exps
 
-    @property
+    @cached_property
     def support(self) -> frozenset[str]:
         return frozenset(g for g, _ in self.exps)
 
@@ -98,8 +101,14 @@ class Monomial:
         return Monomial(tuple((g, e * k) for g, e in self.exps))
 
     def restrict(self, keep: Iterable[str]) -> "Monomial":
-        """Drop generators outside ``keep`` (they act as unit factors)."""
-        keep = set(keep)
+        """Drop generators outside ``keep`` (they act as unit factors).
+
+        Returns ``self`` when nothing is dropped, so restricted graphs share
+        their labels with the source.
+        """
+        keep = frozenset(keep)
+        if self.support <= keep:
+            return self
         return Monomial(tuple((g, e) for g, e in self.exps if g in keep))
 
     def __str__(self) -> str:
@@ -109,12 +118,18 @@ class Monomial:
 
 
 def primitive_part(m: Monomial) -> tuple[Monomial, int]:
-    """Write a non-unit monomial as p^k with p primitive; return (p, k)."""
-    if m.is_unit:
-        raise ValueError("the unit monomial has no primitive part")
-    k = math.gcd(*(e for _, e in m.exps))
-    p = Monomial(tuple((g, e // k) for g, e in m.exps))
-    return p, k
+    """Write a non-unit monomial as p^k with p primitive; return (p, k).
+
+    The result is kept on m, so every later call shares one p.
+    """
+    found = m.__dict__.get("_primitive_part")
+    if found is None:
+        if m.is_unit:
+            raise ValueError("the unit monomial has no primitive part")
+        k = math.gcd(*(e for _, e in m.exps))
+        p = m if k == 1 else Monomial(tuple((g, e // k) for g, e in m.exps))
+        found = m.__dict__["_primitive_part"] = (p, k)
+    return found
 
 
 def _is_nc_label(m: Monomial) -> bool:
@@ -134,17 +149,13 @@ def primitive_root(ms: Sequence[Monomial]) -> Optional[tuple[Monomial, list[int]
         raise ValueError("primitive_root needs at least one monomial")
     if any(m.is_unit for m in ms):
         raise ValueError("unit labels have no primitive root; filter them first")
+    # m is a power of the primitive p exactly when m's own primitive part
+    # is p, and the power is then m's exponent gcd.
     p, _ = primitive_part(ms[0])
-    gen0, p0 = p.exps[0]
     mults = []
     for m in ms:
-        if m.support != p.support:
-            return None
-        e0 = m.exponent(gen0)
-        if e0 % p0:
-            return None
-        k = e0 // p0
-        if any(m.exponent(g) != k * e for g, e in p.exps):
+        q, k = primitive_part(m)
+        if q != p:
             return None
         mults.append(k)
     return p, mults

@@ -140,6 +140,95 @@ def test_existing_out_refused_before_any_work(
     assert list(out_dir.iterdir()) == []
 
 
+# Each form is one that int() accepts and the [0-9]+ grammar refuses.
+MAX_ERR = "argument --max: invalid int value: "
+VALIDATE_ERR = "--validate: expected comma-separated integers"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["thickness", TWOGON, "--max", "0_1"], MAX_ERR + "'0_1'"),
+        (["thickness", TWOGON, "--max", "+1"], MAX_ERR + "'+1'"),
+        (["thickness", TWOGON, "--max", " 1"], MAX_ERR + "' 1'"),
+        (["thickness", TWOGON, "--max", "\u0661"], MAX_ERR + "'\u0661'"),
+        (["thickness", TWOGON, "--max", "-0"], MAX_ERR + "'-0'"),
+        (["thickness", TWOGON, "--validate", "1_0,+1"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "2, 3"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "\u0662,3"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate=-0,1"], VALIDATE_ERR),
+        (["trait", TWOGON, "--valuation", "x=4_0,y=6"], "--valuation: '4_0' is not an integer"),
+        (["trait", TWOGON, "--valuation", "x=+4,y=6"], "--valuation: '+4' is not an integer"),
+        (
+            ["trait", TWOGON, "--valuation", " x = \u0661 ,y=0"],
+            "--valuation: ' \u0661 ' is not an integer",
+        ),
+        (["trait", TWOGON, "--valuation", "x=-0,y=6"], "--valuation: '-0' is not an integer"),
+        (
+            ["resolve", THREECYCLE, "--valuation", "x=1,y=1,z=0_1"],
+            "--valuation: '0_1' is not an integer",
+        ),
+    ],
+    ids=[
+        "max-underscore",
+        "max-plus",
+        "max-space",
+        "max-arabic-indic",
+        "max-minus-zero",
+        "validate-underscore-plus",
+        "validate-space",
+        "validate-arabic-indic",
+        "validate-minus-zero",
+        "valuation-underscore",
+        "valuation-plus",
+        "valuation-padded-arabic-indic",
+        "valuation-minus-zero",
+        "resolve-valuation-underscore",
+    ],
+)
+def test_integer_arguments_are_ascii_digits(capsys, argv, message):
+    assert run(argv) == 2
+    out, err = out_of(capsys)
+    assert out == ""
+    assert message in err
+
+
+class TestVanishing:
+    @pytest.mark.parametrize(
+        "graph, vanishing, message",
+        [
+            (TWOGON, "x,x", "--vanishing: duplicate generators ['x']"),
+            (TWOGON, "y,x,y", "--vanishing: duplicate generators ['y']"),
+            (TWOGON, "zz", "unknown generators ['zz']"),
+            (TWOGON, "x,", "unknown generators ['']"),
+            (
+                str(FIXTURES / "mixed6.graph"),
+                "x",
+                "closed-fibre analysis needs single-generator labels, got z^2",
+            ),
+        ],
+        ids=["duplicate", "duplicate-apart", "unknown", "empty-name", "non-nc-label"],
+    )
+    def test_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, graph, vanishing, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("build_atlas ran although --vanishing is bad")
+
+        monkeypatch.setattr(atlas, "build_atlas", must_not_run)
+        out_dir = tmp_path / "atlas"
+        argv = ["atlas", graph, "--max", "1", "--out", str(out_dir), "--vanishing", vanishing]
+        assert run(argv) == 2
+        assert out_of(capsys) == ("", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    def test_distinct_generators_in_any_order(self, tmp_path, capsys):
+        out_dir = tmp_path / "atlas"
+        assert run(["atlas", TWOGON, "--max", "1", "--out", str(out_dir), "--vanishing", "y,x"]) == 0
+        out, _ = out_of(capsys)
+        assert "nonempty fibres at {x,y}: 1" in out
+
+
 class TestResolveCommand:
     def test_writes_trace(self, tmp_path, capsys):
         graph = tmp_path / "chain.graph"

@@ -1,12 +1,22 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from graphalign import build_atlas, resolve, stratify, Valuation
+from graphalign import (
+    GeneratorSet,
+    LabelledGraph,
+    Monomial,
+    Valuation,
+    build_atlas,
+    resolve,
+    stratify,
+)
 from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
+    graph_to_obj,
     load_graph,
     morphism_merged_vertices,
     parse_graph,
@@ -39,6 +49,7 @@ class TestRoundTrip:
         text = (FIXTURES / name).read_text()
         G = parse_graph(text, source=name)
         canonical = serialize_graph(G)
+        assert canonical == json.dumps(graph_to_obj(G), indent=2) + "\n"
         assert parse_graph(canonical) == G
         assert serialize_graph(parse_graph(canonical)) == canonical
 
@@ -48,8 +59,6 @@ class TestRoundTrip:
         assert list(obj) == ["generators", "nc", "vertices", "edges"]
 
     def test_unit_label_round_trips_as_empty_map(self):
-        from graphalign import Monomial
-
         G = twogon(mono(x=1), Monomial.unit())
         obj = json.loads(serialize_graph(G))
         assert obj["edges"][1]["label"] == {}
@@ -59,6 +68,95 @@ class TestRoundTrip:
     @given(labelled_graphs(max_edges=6, gens=("x", "y", "z"), max_exp=4))
     def test_round_trip_on_arbitrary_graphs(self, G):
         assert parse_graph(serialize_graph(G)) == G
+
+
+# Names that json.dumps escapes: non-ASCII, a quote, a backslash and U+2028.
+NAMES = st.sampled_from(["\u00e9", 'a"b', "\\", "\u2028", "x", "v1"]) | st.text(max_size=3)
+
+
+@st.composite
+def named_graphs(draw):
+    gens = draw(st.lists(NAMES, unique=True, max_size=3))
+    vertices = draw(st.lists(NAMES, unique=True, max_size=4))
+    ids = draw(st.lists(NAMES, unique=True, max_size=6)) if vertices else []
+    edges = []
+    for eid in ids:
+        ends = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2))
+        exps = draw(st.dictionaries(st.sampled_from(gens), st.integers(1, 4))) if gens else {}
+        edges.append((eid, *ends, Monomial.from_dict(exps)))
+    return LabelledGraph.build(GeneratorSet(tuple(gens), draw(st.booleans())), vertices, edges)
+
+
+ESCAPES = LabelledGraph.build(
+    GeneratorSet(("\u00e9", 'a"b', "\\", "\u2028"), nc=True),
+    ["\u00e9", "\u2028", "\\"],
+    [
+        ('a"b', "\u2028", "\u00e9", Monomial.from_dict({"\u00e9": 2, 'a"b': 1})),
+        ("\\", "\\", "\\", Monomial.unit()),
+        ("\u2028", "\u00e9", "\\", Monomial.from_dict({"\u00e9": 2, 'a"b': 1})),
+    ],
+)
+
+
+class TestWriterOracle:
+    """serialize_graph against json.dumps, the encoder it replaces."""
+
+    @settings(max_examples=200)
+    @given(named_graphs())
+    @example(ESCAPES)
+    @example(LabelledGraph.build(GeneratorSet(()), [], []))
+    @example(LabelledGraph.build(GeneratorSet(()), ["v"], [("e", "v", "v", Monomial.unit())]))
+    @example(LabelledGraph.build(GeneratorSet(("x",)), ["v"], []))
+    def test_serialize_equals_json_dumps(self, G):
+        text = serialize_graph(G)
+        assert text == json.dumps(graph_to_obj(G), indent=2) + "\n"
+        assert parse_graph(text) == G
+
+
+class TestLabelInterning:
+    def test_equal_labels_share_one_monomial(self):
+        labels = [{"x": 1, "y": 2}, {"y": 2, "x": 1}, {"x": 3}, {}, {"x": 1, "y": 2}, {}]
+        text = json.dumps(
+            {
+                "generators": ["x", "y"],
+                "nc": False,
+                "vertices": ["a"],
+                "edges": [
+                    {"id": f"e{i}", "ends": ["a", "a"], "label": label}
+                    for i, label in enumerate(labels)
+                ],
+            }
+        )
+        e0, e1, e2, e3, e4, e5 = parse_graph(text).edges
+        assert e0.label is e1.label is e4.label
+        assert e3.label is e5.label
+        assert e2.label is not e0.label
+        assert [e.label for e in (e0, e2, e3)] == [mono(x=1, y=2), mono(x=3), Monomial.unit()]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([{"q": 1}, {"q": 1}], "edge 'e0' label uses unknown generator 'q'"),
+            ([{"x": 1}, {"q": 1}, {"q": 1}], "edge 'e1' label uses unknown generator 'q'"),
+            ([{"x": 1}, {"x": 1, "r": 2, "q": 1}], "edge 'e1' label uses unknown generator 'q'"),
+        ],
+        ids=["shared-bad-label", "good-then-shared-bad", "least-unknown-named"],
+    )
+    def test_unknown_generator_named_at_first_offending_edge(self, labels, message):
+        text = json.dumps(
+            {
+                "generators": ["x"],
+                "nc": False,
+                "vertices": ["a"],
+                "edges": [
+                    {"id": f"e{i}", "ends": ["a", "a"], "label": label}
+                    for i, label in enumerate(labels)
+                ],
+            }
+        )
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text, source="g")
+        assert str(err.value) == f"g: {message}"
 
 
 class TestParseErrors:
@@ -115,22 +213,39 @@ class TestParseErrors:
             load_graph(tmp_path / "nope.graph")
 
     @pytest.mark.parametrize(
-        "edge, message",
+        "edges, message",
         [
-            ({"id": "e", "label": {"x": 1.7}}, "exponent of 'x' must be an integer"),
-            ({"id": "e", "label": {"x": True}}, "exponent of 'x' must be an integer"),
-            ({"id": "e", "label": {"x": "2"}}, "exponent of 'x' must be an integer"),
-            ({"id": 7, "label": {"x": 1}}, "id must be a string"),
+            ([{"id": "e", "label": {"x": 1.7}}], "exponent of 'x' must be an integer"),
+            ([{"id": "e", "label": {"x": True}}], "exponent of 'x' must be an integer"),
+            ([{"id": "e", "label": {"x": "2"}}], "exponent of 'x' must be an integer"),
+            ([{"id": 7, "label": {"x": 1}}], "id must be a string"),
+            # True and 1.0 compare equal to the valid 1 before them, so a
+            # label memo keyed before validation would let them through.
+            (
+                [{"id": "e", "label": {"x": 1}}, {"id": "f", "label": {"x": True}}],
+                r"edges\[1\]: exponent of 'x' must be an integer",
+            ),
+            (
+                [{"id": "e", "label": {"x": 1}}, {"id": "f", "label": {"x": 1.0}}],
+                r"edges\[1\]: exponent of 'x' must be an integer",
+            ),
         ],
-        ids=["float-exponent", "bool-exponent", "string-exponent", "integer-id"],
+        ids=[
+            "float-exponent",
+            "bool-exponent",
+            "string-exponent",
+            "integer-id",
+            "bool-after-equal-int",
+            "float-after-equal-int",
+        ],
     )
-    def test_strict_exponents_and_ids(self, tmp_path, edge, message):
+    def test_strict_exponents_and_ids(self, tmp_path, edges, message):
         text = json.dumps(
             {
                 "generators": ["x"],
                 "nc": False,
                 "vertices": ["a", "b"],
-                "edges": [{"ends": ["a", "b"], **edge}],
+                "edges": [{"ends": ["a", "b"], **edge} for edge in edges],
             }
         )
         with pytest.raises(GraphFormatError, match=message):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -119,3 +121,50 @@ class TestLaurent:
 
         with pytest.raises(ValueError):
             LaurentMonomial((("x", 0),))
+
+
+class TestCachedFacts:
+    """Derived facts live in the instance's __dict__, outside equality and hash."""
+
+    def test_equality_and_hash_ignore_cached_facts(self):
+        cached, fresh = mono(x=2, y=4), mono(x=2, y=4)
+        assert cached.support == {"x", "y"}
+        assert primitive_part(cached) == (mono(x=1, y=2), 2)
+        assert {"support", "_primitive_part"} <= set(cached.__dict__)
+        assert "support" not in fresh.__dict__
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert len({cached, fresh}) == 1
+        assert repr(cached) == repr(fresh)
+
+    @given(nonunit_monomials(max_exp=4))
+    def test_primitive_part_is_computed_once(self, m):
+        first = primitive_part(m)
+        assert primitive_part(m) is first
+        p, k = first
+        assert p.pow(k) == m
+        assert primitive_part(p) == (p, 1)
+
+    def test_unit_still_has_no_primitive_part(self):
+        with pytest.raises(ValueError):
+            primitive_part(Monomial.unit())
+        with pytest.raises(ValueError):
+            primitive_part(Monomial.unit())
+
+    @given(
+        monomials(gens=("x", "y", "z"), max_exp=3),
+        st.sets(st.sampled_from(["w", "x", "y", "z"])),
+    )
+    def test_restrict_drops_exactly_the_other_generators(self, m, keep):
+        restricted = m.restrict(keep)
+        assert restricted == Monomial.from_dict({g: e for g, e in m.exps if g in keep})
+        assert (restricted is m) == (m.support <= keep)
+        assert m.restrict(list(keep)) == restricted
+
+
+@given(nonunit_monomials(gens=("x", "y", "z"), max_exp=3), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+def test_primitive_root_of_powers_of_one_primitive(m, ks):
+    p, _ = primitive_part(m)
+    found = primitive_root([p.pow(k) for k in ks])
+    assert found == (p, ks)
+    assert math.gcd(*(e for _, e in found[0].exps)) == 1
