@@ -6,28 +6,33 @@ vertices and 5 edges), checks the circuit partition against the
 brute-force maximal-circuit computation, checks that the witness for
 every ordered pair of edges in one class is an enumerated circuit
 through both, checks the graph writer against ``json.dumps`` and the
-parser on one labelling of every shape, and sweeps every labelling of
-the structurally relevant edges to compare the partition-based alignment
-test with the 2-vertex-connected-subgraph oracle.  Prints counts; exits
-non-zero on any mismatch.
+parser on one labelling of every shape, checks every file ``write_atlas``
+writes at bound 1 on that labelling against ``json.dumps`` of the object
+it encodes, and sweeps every labelling of the structurally relevant edges
+to compare the partition-based alignment test with the
+2-vertex-connected-subgraph oracle.  Prints counts; exits non-zero on any
+mismatch.
 """
 
 import argparse
 import itertools
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from graphalign import (
     GeneratorSet,
     LabelledGraph,
     Monomial,
+    build_atlas,
     circuit_partition,
     circuit_witness,
 )
 from graphalign.alignment import _class_verdict
-from graphalign.formats import graph_to_obj, parse_graph, serialize_graph
-from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs
+from graphalign.formats import graph_to_obj, parse_graph, serialize_graph, write_atlas
+from graphalign.oracles import _has_common_root, atlas_files_oracle, enumerate_2vc_subgraphs
 
 
 def canonical_shapes(max_vertices, max_edges):
@@ -108,7 +113,7 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = written = 0
+    mismatches = swept = witnessed = written = atlases = 0
     class_cache, root_cache = {}, {}
     names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, args.max_edges + 1)}
 
@@ -120,6 +125,14 @@ def main(argv=None):
         written += 1
         if text != json.dumps(graph_to_obj(G), indent=2) + "\n" or parse_graph(text) != G:
             print(f"WRITER MISMATCH on shape {shape}")
+            mismatches += 1
+        atlas = build_atlas(G, 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_atlas(atlas, Path(tmp) / "atlas")
+            files = {p.name: p.read_text() for p in (Path(tmp) / "atlas").iterdir()}
+        atlases += 1
+        if files != atlas_files_oracle(atlas):
+            print(f"ATLAS WRITER MISMATCH on shape {shape}")
             mismatches += 1
         G0 = shape_graph(shape, [alphabet[0]] * len(shape))
         circuits = set(brute_circuits(G0))
@@ -182,6 +195,7 @@ def main(argv=None):
     print(
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
         f"{witnessed} witnesses checked, {written} graph texts checked, "
+        f"{atlases} atlas directories checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0

@@ -22,6 +22,7 @@ from .atlas import (
     Atlas,
     BinomialRelation,
     ChartPresentation,
+    Overlap,
     ThicknessFunction,
     TorusRelation,
     closed_fibre,
@@ -136,16 +137,64 @@ def graph_to_obj(G: LabelledGraph) -> dict:
 
 
 def _dump(obj) -> str:
+    """``json.dumps(obj, indent=2)`` plus a newline: the canonical text of
+    every output file, and the oracle the writers below are tested against."""
     return json.dumps(obj, indent=2) + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _top_list(items: Sequence[str]) -> str:
-    """Encoded items laid out as a list in a top-level field of
-    ``json.dumps(obj, indent=2)``."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _list(items: Sequence[str], depth: int) -> str:
+    """Encoded items laid out as ``json.dumps(obj, indent=2)`` lays out a
+    list whose opening bracket sits at nesting ``depth`` (0 for the whole
+    document, 1 for a field of the top-level object)."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}{pad[:-2]}]"
+
+
+def _object_parts(fields: Sequence[tuple[str, str]], depth: int) -> list[str]:
+    """The pieces of ``_object(fields, depth)``; each value is one piece, so
+    that a large one (an index's list of entries) is never copied by
+    concatenation."""
+    if not fields:
+        return ["{}"]
+    pad = "\n" + "  " * (depth + 1)
+    parts = []
+    for k, v in fields:
+        parts += ("," + pad, _quote(k), ": ", v)
+    parts[0] = "{" + pad
+    parts.append(pad[:-2] + "}")
+    return parts
+
+
+def _object(fields: Sequence[tuple[str, str]], depth: int) -> str:
+    """Likewise for an object, from (key, encoded value) pairs in order."""
+    return "".join(_object_parts(fields, depth))
+
+
+def _write_document(path: Path, fields: Sequence[tuple[str, str]]) -> None:
+    """Write ``_object(fields, 0)`` and the newline ``_dump`` ends with, piece
+    by piece: the whole text of a large index is never held at once."""
+    with open(path, "w") as f:
+        f.writelines(_object_parts(fields, 0))
+        f.write("\n")
+
+
+def _bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _label(m: Monomial, depth: int) -> str:
+    return _object([(g, str(k)) for g, k in m.exps], depth)
+
+
+def _nested(text: str) -> str:
+    """A document's text as the value of a top-level field.  An encoded
+    string holds no raw newline, so indenting after every newline is exact."""
+    return text[:-1].replace("\n", "\n  ")
 
 
 def serialize_graph(G: LabelledGraph) -> str:
@@ -161,20 +210,18 @@ def serialize_graph(G: LabelledGraph) -> str:
     for e in G.edges:
         label = labels.get(e.label)
         if label is None:
-            items = ",".join(f"\n        {_quote(g)}: {k}" for g, k in e.label.exps)
-            label = labels[e.label] = "{" + items + "\n      }" if items else "{}"
+            label = labels[e.label] = _label(e.label, 3)
         u, w = e.ends
         edges.append(
             f'{{\n      "id": {_quote(e.id)},\n      "ends": [\n'
             f"        {vertices[u]},\n        {vertices[w]}\n      ],\n"
             f'      "label": {label}\n    }}'
         )
-    generators = _top_list([_quote(g) for g in G.generators.names])
-    nc = "true" if G.generators.nc else "false"
+    generators = _list([_quote(g) for g in G.generators.names], 1)
     return (
-        f'{{\n  "generators": {generators},\n  "nc": {nc},\n'
-        f'  "vertices": {_top_list(list(vertices.values()))},\n'
-        f'  "edges": {_top_list(edges)}\n}}\n'
+        f'{{\n  "generators": {generators},\n  "nc": {_bool(G.generators.nc)},\n'
+        f'  "vertices": {_list(list(vertices.values()), 1)},\n'
+        f'  "edges": {_list(edges, 1)}\n}}\n'
     )
 
 
@@ -188,18 +235,18 @@ def graph_to_dot(
     ``merged_from`` annotates vertices of contracted or specialised graphs
     with the source ids they absorb.
     """
-    lines = [f"graph {json.dumps(name)} {{"]
+    lines = [f"graph {_quote(name)} {{"]
     for v in G.vertices:
         attrs = ""
         if merged_from and len(merged_from.get(v, ())) > 1:
             srcs = ",".join(merged_from[v])
-            attrs = f" [label={json.dumps(f'{v} <- {srcs}')}]"
-        lines.append(f"  {json.dumps(v)}{attrs};")
+            attrs = f" [label={_quote(f'{v} <- {srcs}')}]"
+        lines.append(f"  {_quote(v)}{attrs};")
     for e in G.edges:
         u, w = e.ends
         lines.append(
-            f"  {json.dumps(u)} -- {json.dumps(w)} "
-            f"[label={json.dumps(f'{e.id}: {e.label}')}];"
+            f"  {_quote(u)} -- {_quote(w)} "
+            f"[label={_quote(f'{e.id}: {e.label}')}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -269,13 +316,52 @@ def chart_to_obj(c: ChartPresentation) -> dict:
     }
 
 
+def _chart_parts(c: ChartPresentation) -> tuple[str, str]:
+    """The text of c's file before and after its ``inverted_labels`` list.
+
+    An overlap has the classes of chart(M) and more inverted labels, so
+    these two parts serve chart(M) and every one of its overlaps.
+    """
+    classes = []
+    for cls in c.classes:
+        rows = [
+            _object(
+                [
+                    ("edge", _quote(row.edge)),
+                    ("label", _label(row.label, 5)),
+                    ("multiplicity", str(row.multiplicity)),
+                    ("coefficient", str(row.coefficient)),
+                    ("unit_var", _quote(row.unit_var)),
+                ],
+                4,
+            )
+            for row in cls.rows
+        ]
+        fields = [
+            ("edges", _list([_quote(e) for e in cls.edges], 3)),
+            ("aligning_var", _quote(cls.aligning_var)),
+            ("rows", _list(rows, 3)),
+        ]
+        classes.append(_object(fields, 2))
+    # NUL marks the split: every encoded string escapes control characters.
+    text = _object(
+        [
+            ("generators", _list([_quote(g) for g in c.base.names], 1)),
+            ("nc", _bool(c.base.nc)),
+            ("classes", _list(classes, 1)),
+            ("inverted_labels", "\0"),
+            ("rendered", _list([_quote(r) for r in render_relations(c)], 1)),
+        ],
+        0,
+    )
+    head, tail = text.split("\0")
+    return head, tail + "\n"
+
+
 def serialize_chart(c: ChartPresentation) -> str:
-    return _dump(chart_to_obj(c))
-
-
-def _chart_filename(kind: str, *tfs: ThicknessFunction) -> str:
-    tag = "__".join("-".join(str(v) for v in tf.vector()) for tf in tfs)
-    return f"{kind}_{tag}.json"
+    """The canonical text of c, equal to ``_dump(chart_to_obj(c))``."""
+    head, tail = _chart_parts(c)
+    return head + _list([_label(m, 2) for m in c.inverted], 1) + tail
 
 
 @contextlib.contextmanager
@@ -302,59 +388,91 @@ def write_atlas(
 ) -> None:
     """Write atlas.index plus one presentation file per chart and overlap.
 
-    Most overlaps of chart(M) share their presentation with chart(M) or
-    with another of its overlaps, so each distinct text is encoded once
-    and written to every file that has it.
+    Every file is canonical ``json.dumps(indent=2)`` text, spliced from
+    fragments encoded once: each chart's text around its inverted labels,
+    each distinct inverted label, and each thickness function's ``values``
+    and file-name tag.  Most overlaps of chart(M) share their text with
+    chart(M) or with another of its overlaps, so each distinct text is
+    built once and written to every file that has it.
     """
+    parts: dict[int, tuple[str, str]] = {}
+    labels: dict[Monomial, str] = {}
     texts: dict[tuple[int, tuple[Monomial, ...]], bytes] = {}
+    by_edges: dict[tuple[int, frozenset[str]], bytes] = {}
+    functions: dict[int, tuple[str, str]] = {}
 
-    def write(path: Path, left: ChartPresentation, c: ChartPresentation) -> None:
-        # c is ``left`` with more labels inverted; ``left`` is held by the
-        # atlas, so its id names it for the whole write.
-        key = (id(left), c.inverted)
-        data = texts.get(key)
+    def write(fname: str, ov: Overlap) -> None:
+        # chart(M) is held by the atlas, so its id names it for the whole
+        # write.  Its overlaps that invert the same edges have one text, and
+        # so have those whose inverted labels come out the same.
+        left = id(ov.left_chart)
+        data = by_edges.get((left, ov.inverted_edges))
         if data is None:
-            data = texts[key] = serialize_chart(c).encode()
-        path.write_bytes(data)
+            inverted = ov.chart.inverted
+            data = texts.get((left, inverted))
+            if data is None:
+                head, tail = parts.get(left) or parts.setdefault(
+                    left, _chart_parts(ov.left_chart)
+                )
+                items = [labels.get(m) or labels.setdefault(m, _label(m, 2)) for m in inverted]
+                data = texts[(left, inverted)] = (head + _list(items, 1) + tail).encode()
+            by_edges[(left, ov.inverted_edges)] = data
+        with open(os.path.join(tmp, fname), "wb") as f:
+            f.write(data)
 
+    def function(M: ThicknessFunction) -> tuple[str, str]:
+        """M's ``values`` fragment in an index entry, and its file-name tag."""
+        found = functions.get(id(M))
+        if found is None:
+            values = _object([(e, str(v)) for e, v in M.values], 3)
+            found = functions[id(M)] = (values, "-".join(str(v) for _, v in M.values))
+        return found
+
+    quoted = {e: _quote(e) for e in atlas.graph.edge_ids}
+    point = None if vanishing is None else _list([_quote(g) for g in sorted(vanishing)], 4)
     with _staged_dir(outdir) as tmp:
-        index: dict = {
-            "graph": graph_to_obj(atlas.graph),
-            "bound": atlas.bound,
-            "charts": [],
-            "overlaps": [],
-        }
+        charts = []
         for M, c in atlas.charts.items():
-            fname = _chart_filename("chart", M)
-            write(tmp / fname, c, c)
-            entry: dict = {"values": M.as_dict(), "file": fname}
+            values, tag = function(M)
+            fname = f"chart_{tag}.json"
+            write(fname, Overlap(frozenset(), c))
+            fields = [("values", values), ("file", _quote(fname))]
             if vanishing is not None:
                 fr = closed_fibre(c, vanishing)
-                entry["fibre"] = {
-                    "vanishing": sorted(vanishing),
-                    "nonempty": fr.nonempty,
-                    "connected": fr.connected,
-                    "torus_rank": fr.torus_rank,
-                }
-            index["charts"].append(entry)
+                fibre = [
+                    ("vanishing", point),
+                    ("nonempty", _bool(fr.nonempty)),
+                    ("connected", _bool(fr.connected)),
+                    ("torus_rank", str(fr.torus_rank)),
+                ]
+                fields.append(("fibre", _object(fibre, 3)))
+            charts.append(_object(fields, 2))
+        overlaps = []
         for (M, N), ov in atlas.overlaps.items():
-            fname = _chart_filename("overlap", M, N)
-            write(tmp / fname, ov.left_chart, ov.chart)
-            index["overlaps"].append(
-                {
-                    "left": M.as_dict(),
-                    "right": N.as_dict(),
-                    "inverted_edges": sorted(ov.inverted_edges),
-                    "file": fname,
-                }
-            )
-        (tmp / "atlas.index").write_text(_dump(index))
+            (left, ltag), (right, rtag) = function(M), function(N)
+            fname = f"overlap_{ltag}__{rtag}.json"
+            write(fname, ov)
+            edges = _list([quoted[e] for e in sorted(ov.inverted_edges)], 3)
+            fields = [
+                ("left", left),
+                ("right", right),
+                ("inverted_edges", edges),
+                ("file", _quote(fname)),
+            ]
+            overlaps.append(_object(fields, 2))
+        index = [
+            ("graph", _nested(serialize_graph(atlas.graph))),
+            ("bound", str(atlas.bound)),
+            ("charts", _list(charts, 1)),
+            ("overlaps", _list(overlaps, 1)),
+        ]
+        _write_document(tmp / "atlas.index", index)
 
 
 def write_trace(trace: ResolutionTrace, outdir: str | Path, dot: bool = False) -> None:
     """One graph file per step plus a rewrite log."""
     with _staged_dir(outdir) as tmp:
-        log: dict = {"valuation": trace.valuation.as_dict(), "steps": []}
+        steps = []
         for i, step in enumerate(trace.steps):
             fname = f"step_{i:02d}.graph"
             (tmp / fname).write_text(serialize_graph(step.graph))
@@ -362,17 +480,26 @@ def write_trace(trace: ResolutionTrace, outdir: str | Path, dot: bool = False) -
                 (tmp / f"step_{i:02d}.dot").write_text(
                     graph_to_dot(step.graph, name=f"step{i}")
                 )
-            log["steps"].append(
-                {
-                    "file": fname,
-                    "delta": step.delta,
-                    "rewrites": [
-                        {"edge": r.edge, "rule": r.rule, "produced": list(r.produced)}
-                        for r in step.rewrites
+            rewrites = [
+                _object(
+                    [
+                        ("edge", _quote(r.edge)),
+                        ("rule", _quote(r.rule)),
+                        ("produced", _list([_quote(e) for e in r.produced], 5)),
                     ],
-                }
-            )
-        (tmp / "trace.index").write_text(_dump(log))
+                    4,
+                )
+                for r in step.rewrites
+            ]
+            fields = [
+                ("file", _quote(fname)),
+                ("delta", str(step.delta)),
+                ("rewrites", _list(rewrites, 3)),
+            ]
+            steps.append(_object(fields, 2))
+        valuation = _object([(g, str(v)) for g, v in trace.valuation.values], 1)
+        log = [("valuation", valuation), ("steps", _list(steps, 1))]
+        _write_document(tmp / "trace.index", log)
 
 
 def strata_poset_dot(fam: StratifiedFamily) -> str:
@@ -381,13 +508,13 @@ def strata_poset_dot(fam: StratifiedFamily) -> str:
         tag = "{" + ",".join(sorted(J)) + "}"
         stratum = fam.strata[J]
         lines.append(
-            f"  {json.dumps(tag)} [label="
-            f"{json.dumps(f'{tag}: {len(stratum.graph.edges)} edges')}];"
+            f"  {_quote(tag)} [label="
+            f"{_quote(f'{tag}: {len(stratum.graph.edges)} edges')}];"
         )
     for (J, J2) in sorted(fam.covers, key=lambda p: (sorted(p[0]), sorted(p[1]))):
         a = "{" + ",".join(sorted(J)) + "}"
         b = "{" + ",".join(sorted(J2)) + "}"
-        lines.append(f"  {json.dumps(a)} -> {json.dumps(b)};")
+        lines.append(f"  {_quote(a)} -> {_quote(b)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -395,11 +522,16 @@ def strata_poset_dot(fam: StratifiedFamily) -> str:
 def write_strata(fam: StratifiedFamily, outdir: str | Path) -> None:
     """Lattice listing: numbered stratum files, an index, and the poset DOT."""
     with _staged_dir(outdir) as tmp:
-        index: dict = {"controlling": graph_to_obj(fam.controlling), "strata": []}
+        strata = []
         for i, J in enumerate(fam.subsets()):
             stratum = fam.strata[J]
             fname = f"stratum_{i:02d}.graph"
             (tmp / fname).write_text(serialize_graph(stratum.graph))
-            index["strata"].append({"generators": sorted(J), "file": fname})
+            generators = _list([_quote(g) for g in sorted(J)], 3)
+            strata.append(_object([("generators", generators), ("file", _quote(fname))], 2))
         (tmp / "poset.dot").write_text(strata_poset_dot(fam))
-        (tmp / "strata.index").write_text(_dump(index))
+        index = [
+            ("controlling", _nested(serialize_graph(fam.controlling))),
+            ("strata", _list(strata, 1)),
+        ]
+        _write_document(tmp / "strata.index", index)

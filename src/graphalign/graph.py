@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .labels import GeneratorSet, Monomial
@@ -31,7 +32,8 @@ class Edge:
     label: Monomial
 
     def __post_init__(self) -> None:
-        if tuple(sorted(self.ends)) != self.ends:
+        ends = self.ends
+        if not isinstance(ends, tuple) or len(ends) != 2 or ends[0] > ends[1]:
             raise ValueError(f"edge {self.id!r}: endpoints must be stored sorted")
 
     @property
@@ -99,14 +101,20 @@ class LabelledGraph:
         return cls(generators, tuple(sorted(vertices)), es)
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise ValueError(f"unknown edge id {eid!r}")
+        try:
+            return self._edge_index[eid]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown edge id {eid!r}") from None
 
-    @property
+    # Like the memos kept in ``__dict__``, these two live outside the
+    # fields that equality, hashing and repr read.
+    @cached_property
     def edge_ids(self) -> tuple[str, ...]:
         return tuple(e.id for e in self.edges)
+
+    @cached_property
+    def _edge_index(self) -> dict[str, Edge]:
+        return {e.id: e for e in self.edges}
 
     def labels(self) -> dict[str, Monomial]:
         return {e.id: e.label for e in self.edges}
@@ -320,9 +328,8 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
     cls = next((c for c in part if e in c), None)
     if cls is None:
         raise ValueError(f"unknown edge id {e!r}")
-    if f not in set(G.edge_ids):
-        raise ValueError(f"unknown edge id {f!r}")
     if f not in cls:
+        G.edge(f)  # an unknown id is refused as such
         raise WitnessNotFoundError(
             f"edges {e!r} and {f!r} lie in different circuit classes"
         )

@@ -2,17 +2,25 @@
 
 They re-derive the circuit classes and the alignment verdict the slow way:
 every 2-vertex-connected edge subset, and for each one a direct search for
-a common root of its labels.  The package does not import this module.
+a common root of its labels.  The directory oracles give the text of every
+file of an atlas, trace or strata directory as ``json.dumps`` of an object
+built field by field, the encoding the writers in ``formats`` splice from
+fragments.  The package does not import this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from typing import Optional, Sequence
 
+from .atlas import Atlas, ThicknessFunction, closed_fibre
+from .formats import _dump, chart_to_obj, graph_to_obj
 from .graph import Edge, LabelledGraph, connected_components
 from .labels import Monomial
+from .resolution import ResolutionTrace
+from .strata import StratifiedFamily
 
 ORACLE_EDGE_CAP = 12
 
@@ -104,3 +112,109 @@ def is_aligned_oracle(G: LabelledGraph) -> bool:
         if not _has_common_root([by_id[e] for e in sorted(sub)]):
             return False
     return True
+
+
+# Directory oracles ----------------------------------------------------------
+
+
+def _chart_filename(kind: str, *tfs: ThicknessFunction) -> str:
+    tag = "__".join("-".join(str(v) for v in tf.vector()) for tf in tfs)
+    return f"{kind}_{tag}.json"
+
+
+def atlas_files_oracle(
+    atlas: Atlas, vanishing: Optional[Sequence[str]] = None
+) -> dict[str, str]:
+    """File name to text for ``write_atlas(atlas, out, vanishing)``."""
+    files = {}
+    index: dict = {
+        "graph": graph_to_obj(atlas.graph),
+        "bound": atlas.bound,
+        "charts": [],
+        "overlaps": [],
+    }
+    for M, c in atlas.charts.items():
+        fname = _chart_filename("chart", M)
+        files[fname] = _dump(chart_to_obj(c))
+        entry: dict = {"values": M.as_dict(), "file": fname}
+        if vanishing is not None:
+            fr = closed_fibre(c, vanishing)
+            entry["fibre"] = {
+                "vanishing": sorted(vanishing),
+                "nonempty": fr.nonempty,
+                "connected": fr.connected,
+                "torus_rank": fr.torus_rank,
+            }
+        index["charts"].append(entry)
+    for (M, N), ov in atlas.overlaps.items():
+        fname = _chart_filename("overlap", M, N)
+        files[fname] = _dump(chart_to_obj(ov.chart))
+        index["overlaps"].append(
+            {
+                "left": M.as_dict(),
+                "right": N.as_dict(),
+                "inverted_edges": sorted(ov.inverted_edges),
+                "file": fname,
+            }
+        )
+    files["atlas.index"] = _dump(index)
+    return files
+
+
+def _graph_dot(G: LabelledGraph, name: str) -> str:
+    lines = [f"graph {json.dumps(name)} {{"]
+    for v in G.vertices:
+        lines.append(f"  {json.dumps(v)};")
+    for e in G.edges:
+        u, w = e.ends
+        label = json.dumps(f"{e.id}: {e.label}")
+        lines.append(f"  {json.dumps(u)} -- {json.dumps(w)} [label={label}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trace_files_oracle(trace: ResolutionTrace, dot: bool = False) -> dict[str, str]:
+    """File name to text for ``write_trace(trace, out, dot)``."""
+    files = {}
+    log: dict = {"valuation": trace.valuation.as_dict(), "steps": []}
+    for i, step in enumerate(trace.steps):
+        fname = f"step_{i:02d}.graph"
+        files[fname] = _dump(graph_to_obj(step.graph))
+        if dot:
+            files[f"step_{i:02d}.dot"] = _graph_dot(step.graph, f"step{i}")
+        log["steps"].append(
+            {
+                "file": fname,
+                "delta": step.delta,
+                "rewrites": [
+                    {"edge": r.edge, "rule": r.rule, "produced": list(r.produced)}
+                    for r in step.rewrites
+                ],
+            }
+        )
+    files["trace.index"] = _dump(log)
+    return files
+
+
+def strata_files_oracle(fam: StratifiedFamily) -> dict[str, str]:
+    """File name to text for ``write_strata(fam, out)``."""
+
+    def tag(J: frozenset[str]) -> str:
+        return "{" + ",".join(sorted(J)) + "}"
+
+    files = {}
+    index: dict = {"controlling": graph_to_obj(fam.controlling), "strata": []}
+    lines = ['digraph "strata" {']
+    for i, J in enumerate(fam.subsets()):
+        fname = f"stratum_{i:02d}.graph"
+        graph = fam.strata[J].graph
+        files[fname] = _dump(graph_to_obj(graph))
+        index["strata"].append({"generators": sorted(J), "file": fname})
+        label = json.dumps(f"{tag(J)}: {len(graph.edges)} edges")
+        lines.append(f"  {json.dumps(tag(J))} [label={label}];")
+    for J, J2 in sorted(fam.covers, key=lambda p: (sorted(p[0]), sorted(p[1]))):
+        lines.append(f"  {json.dumps(tag(J))} -> {json.dumps(tag(J2))};")
+    lines.append("}")
+    files["poset.dot"] = "\n".join(lines) + "\n"
+    files["strata.index"] = _dump(index)
+    return files

@@ -83,15 +83,24 @@ def blowup_step(
     taken = set(G.edge_ids)
     new_edges: list[Edge] = []
     records: list[RewriteRecord] = []
+    # One label object per distinct label in H, as ``parse_graph`` gives,
+    # so that label facts cached on a Monomial are computed once per label.
+    # G's objects come first: a kept edge is rebuilt only when G itself
+    # holds equal labels apart.
+    shared: dict[Monomial, Monomial] = {}
+    for e in G.edges:
+        shared.setdefault(e.label, e.label)
     for e in G.edges:
         if e.label.is_unit:
             records.append(RewriteRecord(e.id, "delete-unit", ()))
             continue
         p, n = mults[e.id]
         if n == 1:
-            new_edges.append(e)
+            label = shared[e.label]
+            new_edges.append(e if label is e.label else Edge(e.id, e.ends, label))
             records.append(RewriteRecord(e.id, "keep", (e.id,)))
             continue
+        p = shared.setdefault(p, p)
         a, b = e.ends
         if n == 2:
             w = f"{e.id}@{step}.1"
@@ -102,10 +111,12 @@ def blowup_step(
         else:
             w1 = f"{e.id}@{step}.1"
             w2 = f"{e.id}@{step}.2"
+            middle = p.pow(n - 2)
+            middle = shared.setdefault(middle, middle)
             ids = (f"{e.id}.1", f"{e.id}.2", f"{e.id}.3")
             pieces = [
                 (ids[0], a, w1, p),
-                (ids[1], w1, w2, p.pow(n - 2)),
+                (ids[1], w1, w2, middle),
                 (ids[2], w2, b, p),
             ]
             rule = "split-three"

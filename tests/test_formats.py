@@ -1,7 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphalign import (
@@ -13,6 +15,7 @@ from graphalign import (
     resolve,
     stratify,
 )
+from graphalign.atlas import Atlas, Overlap
 from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
@@ -29,6 +32,7 @@ from graphalign.formats import (
 )
 from graphalign.cli import run
 from graphalign.graph import specialise
+from graphalign.oracles import atlas_files_oracle, strata_files_oracle, trace_files_oracle
 
 from conftest import FIXTURES
 from strategies import labelled_graphs, mono, twogon
@@ -75,16 +79,27 @@ NAMES = st.sampled_from(["\u00e9", 'a"b', "\\", "\u2028", "x", "v1"]) | st.text(
 
 
 @st.composite
-def named_graphs(draw):
+def named_graphs(draw, max_edges=6, nc_labels=False):
+    """Graphs named from NAMES; with ``nc_labels`` the base is NC and the
+    labels are distinct single generators, as ``stratify`` needs."""
     gens = draw(st.lists(NAMES, unique=True, max_size=3))
     vertices = draw(st.lists(NAMES, unique=True, max_size=4))
-    ids = draw(st.lists(NAMES, unique=True, max_size=6)) if vertices else []
+    if nc_labels:
+        max_edges = len(gens)
+        nc_gens = draw(st.permutations(gens))
+    ids = draw(st.lists(NAMES, unique=True, max_size=max_edges)) if vertices else []
     edges = []
-    for eid in ids:
+    for i, eid in enumerate(ids):
         ends = draw(st.lists(st.sampled_from(vertices), min_size=2, max_size=2))
-        exps = draw(st.dictionaries(st.sampled_from(gens), st.integers(1, 4))) if gens else {}
+        if nc_labels:
+            exps = {nc_gens[i]: 1}
+        elif not gens:
+            exps = {}
+        else:
+            exps = draw(st.dictionaries(st.sampled_from(gens), st.integers(1, 4)))
         edges.append((eid, *ends, Monomial.from_dict(exps)))
-    return LabelledGraph.build(GeneratorSet(tuple(gens), draw(st.booleans())), vertices, edges)
+    nc = nc_labels or draw(st.booleans())
+    return LabelledGraph.build(GeneratorSet(tuple(gens), nc), vertices, edges)
 
 
 ESCAPES = LabelledGraph.build(
@@ -336,3 +351,152 @@ class TestDirectoryWriters:
             ["x", "y"],
         ]
         assert (out / "poset.dot").exists()
+
+
+def written(out):
+    return {p.name: p.read_text() for p in out.iterdir()}
+
+
+def assert_same_files(out, expected):
+    got = written(out)
+    assert sorted(got) == sorted(expected)
+    for name, text in expected.items():
+        assert got[name] == text, name
+
+
+U = Monomial.unit()
+
+# A chart whose inverted labels include the unit, from a zero on e2.
+UNIT_LABELS = LabelledGraph.build(
+    GeneratorSet(("x", "y"), nc=True),
+    ["a", "b", "c"],
+    [("e1", "a", "b", mono(x=1)), ("e2", "a", "b", U), ("e3", "b", "c", mono(y=1)), ("e4", "c", "c", U)],
+)
+NO_EDGES = LabelledGraph.build(GeneratorSet(("x",), nc=True), ["v"], [])
+EMPTY = LabelledGraph.build(GeneratorSet(()), [], [])
+
+# Aligned, so it resolves: one class with primitive é, a unit loop, and
+# ids that need escaping.
+E = "\u00e9"
+ESCAPED_RESOLVABLE = LabelledGraph.build(
+    GeneratorSet((E, 'a"b', "\\", "\u2028"), nc=True),
+    ["\\", "\u2028", E],
+    [
+        ('a"b', "\\", "\u2028", Monomial.from_dict({E: 3})),
+        ("\\", "\u2028", E, Monomial.from_dict({E: 2})),
+        ("\u2028", "\\", E, Monomial.from_dict({E: 1})),
+        ("loop", E, E, U),
+    ],
+)
+
+ESCAPED_NC = LabelledGraph.build(
+    GeneratorSet((E, 'a"b', "\\", "\u2028"), nc=True),
+    ["\\", "\u2028", E],
+    [
+        ('a"b', "\\", "\u2028", Monomial.generator(E)),
+        ("\\", "\u2028", E, Monomial.generator("\\")),
+        ("\u2028", "\\", E, Monomial.generator('a"b')),
+    ],
+)
+
+
+class TestDirectoryOracle:
+    """Every file of an atlas, trace or strata directory equals its old
+    ``json.dumps`` text."""
+
+    @pytest.mark.parametrize(
+        "name, bound, vanishing",
+        [
+            ("twogon", 2, None),
+            ("twogon", 2, ["y", "x"]),
+            ("twogon", 1, []),
+            ("threecycle", 2, ["x"]),
+            ("theta", 2, None),
+            ("theta", 1, ["x", "z"]),
+            ("mixed6", 1, None),
+            # At bound 1 wheel has 32,640 overlaps, too many for this suite.
+            ("wheel", 0, None),
+        ],
+    )
+    def test_atlas_fixtures(self, tmp_path, name, bound, vanishing):
+        atlas = build_atlas(load_graph(FIXTURES / f"{name}.graph"), bound)
+        write_atlas(atlas, tmp_path / "out", vanishing=vanishing)
+        assert_same_files(tmp_path / "out", atlas_files_oracle(atlas, vanishing))
+
+    @pytest.mark.parametrize(
+        "G, vanishing",
+        [
+            (UNIT_LABELS, ["x"]),
+            (NO_EDGES, []),
+            (NO_EDGES, None),
+            (EMPTY, None),
+            (ESCAPED_RESOLVABLE, None),
+            (ESCAPED_NC, ["\\", E]),
+        ],
+        ids=["unit-labels", "no-edges-vanishing", "no-edges", "empty", "escapes", "escapes-nc"],
+    )
+    def test_atlas_edge_cases(self, tmp_path, G, vanishing):
+        atlas = build_atlas(G, 1)
+        expected = atlas_files_oracle(atlas, vanishing)
+        if G is UNIT_LABELS:
+            assert '"inverted_labels": [\n    {}' in expected["chart_1-0-1-1.json"]
+        write_atlas(atlas, tmp_path / "out", vanishing=vanishing)
+        assert_same_files(tmp_path / "out", expected)
+
+    def test_atlas_overlap_inverting_no_edge(self, tmp_path):
+        full = build_atlas(twogon(), 1)
+        (M, N), ov = next(iter(full.overlaps.items()))
+        atlas = Atlas(full.graph, 1, full.charts, {(M, N): Overlap(frozenset(), ov.left_chart)})
+        expected = atlas_files_oracle(atlas)
+        assert '"inverted_edges": []' in expected["atlas.index"]
+        write_atlas(atlas, tmp_path / "out")
+        assert_same_files(tmp_path / "out", expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(named_graphs(max_edges=4), st.integers(0, 1))
+    @example(ESCAPES, 1)
+    def test_atlas_named_graphs(self, G, bound):
+        try:
+            atlas = build_atlas(G, bound)
+        except ValueError:
+            assume(False)  # a chart variable collides with a generator name
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            write_atlas(atlas, out)
+            assert_same_files(out, atlas_files_oracle(atlas))
+
+    @pytest.mark.parametrize(
+        "G, valuation",
+        [
+            (twogon(mono(x=1), mono(x=3)), {"x": 1, "y": 0}),
+            (ESCAPED_RESOLVABLE, {E: 1, 'a"b': 0, "\\": 0, "\u2028": 0}),
+            (LabelledGraph.build(GeneratorSet(()), ["v"], [("e", "v", "v", U)]), {}),
+            (NO_EDGES, {}),
+        ],
+        ids=["twogon", "escapes-and-delete-unit", "empty-valuation", "no-edges"],
+    )
+    @pytest.mark.parametrize("dot", [False, True])
+    def test_trace(self, tmp_path, G, valuation, dot):
+        trace = resolve(G, Valuation.from_dict(valuation))
+        expected = trace_files_oracle(trace, dot)
+        if G is ESCAPED_RESOLVABLE:
+            assert '"rule": "delete-unit",\n          "produced": []' in expected["trace.index"]
+        write_trace(trace, tmp_path / "out", dot=dot)
+        assert_same_files(tmp_path / "out", expected)
+
+    @pytest.mark.parametrize("name", ["twogon", "threecycle", "theta"])
+    def test_strata_fixtures(self, tmp_path, name):
+        fam = stratify(load_graph(FIXTURES / f"{name}.graph"))
+        write_strata(fam, tmp_path / "out")
+        assert_same_files(tmp_path / "out", strata_files_oracle(fam))
+
+    @settings(max_examples=40, deadline=None)
+    @given(named_graphs(nc_labels=True))
+    @example(NO_EDGES)
+    @example(ESCAPED_NC)
+    def test_strata_named_graphs(self, G):
+        fam = stratify(G)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            write_strata(fam, out)
+            assert_same_files(out, strata_files_oracle(fam))

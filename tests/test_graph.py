@@ -18,6 +18,7 @@ from graphalign import (
     specialise,
 )
 from graphalign.formats import load_graph
+from graphalign.graph import Edge
 from graphalign.oracles import enumerate_2vc_subgraphs
 
 from conftest import FIXTURES
@@ -114,6 +115,12 @@ class TestCircuitWitness:
     def test_different_classes_fail(self):
         with pytest.raises(WitnessNotFoundError):
             circuit_witness(path_plus_loop(), "e1", "e2")
+
+    @pytest.mark.parametrize("e, f", [("zz", "e1"), ("e1", "zz")])
+    def test_unknown_edge_is_not_a_missing_witness(self, e, f):
+        with pytest.raises(ValueError, match=r"^unknown edge id 'zz'$") as err:
+            circuit_witness(path_plus_loop(), e, f)
+        assert not isinstance(err.value, WitnessNotFoundError)
 
     def test_wheel_every_same_class_pair(self):
         G = load_graph(FIXTURES / "wheel.graph")
@@ -388,3 +395,39 @@ class TestBettiBookkeeping:
         )
         assert first_betti(G) == first_betti(H) + drop
         assert drop == first_betti(sub)
+
+
+class TestEdgeRecord:
+    @pytest.mark.parametrize(
+        "ends",
+        [("b", "a"), ["a", "b"], ("a", "b", "c"), ("c", "b", "a"), ("a",)],
+        ids=["unsorted-pair", "list", "sorted-triple", "unsorted-triple", "single"],
+    )
+    def test_ends_must_be_a_sorted_pair(self, ends):
+        with pytest.raises(ValueError, match=r"^edge 'e': endpoints must be stored sorted$"):
+            Edge("e", ends, Monomial.unit())
+
+    @pytest.mark.parametrize("ends", [("a", "b"), ("a", "a")])
+    def test_sorted_pairs_and_loops_accepted(self, ends):
+        assert Edge("e", ends, Monomial.unit()).ends == ends
+
+
+class TestEdgeIndex:
+    def test_edge_lookup(self):
+        G = path_plus_loop()
+        assert [G.edge(e) for e in ("e1", "e2", "e3")] == list(G.edges)
+        with pytest.raises(ValueError, match=r"^unknown edge id 'e4'$"):
+            G.edge("e4")
+        with pytest.raises(ValueError, match=r"^unknown edge id \['e1'\]$"):
+            G.edge(["e1"])
+
+    def test_cache_is_not_part_of_the_value(self):
+        G, H = path_plus_loop(), path_plus_loop()
+        assert G.edge_ids is G.edge_ids
+        assert G.edge_ids == ("e1", "e2", "e3")
+        G.edge("e1")
+        assert {"edge_ids", "_edge_index"} <= set(vars(G))
+        assert not {"edge_ids", "_edge_index"} & set(vars(H))
+        assert G == H
+        assert hash(G) == hash(H)
+        assert repr(G) == repr(H)

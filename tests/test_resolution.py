@@ -85,6 +85,24 @@ class TestBlowupStep:
         with pytest.raises(ValueError, match=r"collide.*'e@1\.1'"):
             blowup_step(vertex_clash)
 
+    def test_equal_labels_share_one_object_in_every_step(self):
+        # Powers of x around a cycle: split edges make many equal pieces, and
+        # the two kept x edges start as distinct objects.
+        exps = [2, 3, 4, 5, 4, 3, 2, 1, 1]
+        n = len(exps)
+        G = LabelledGraph.build(
+            GeneratorSet(("x",)),
+            [f"v{i}" for i in range(n)],
+            [(f"e{i}", f"v{i}", f"v{(i + 1) % n}", mono(x=k)) for i, k in enumerate(exps)],
+        )
+        trace = resolve(G, VX)
+        assert len(trace.steps) == 3
+        for step in trace.steps[1:]:
+            shared = {}
+            for e in step.graph.edges:
+                assert shared.setdefault(e.label, e.label) is e.label, e.id
+            assert len(shared) < len(step.graph.edges)
+
     def test_fixpoint_idempotence(self):
         G = twogon(mono(x=1), mono(x=1))
         assert delta(G, Valuation.from_dict({"x": 1, "y": 0})) == 0
