@@ -8,8 +8,10 @@ every ordered pair of edges in one class is an enumerated circuit
 through both, checks the graph writer against ``json.dumps`` and the
 parser on one labelling of every shape, checks every file ``write_atlas``
 writes at bound 1 on that labelling against ``json.dumps`` of the object
-it encodes, and sweeps every labelling of the structurally relevant edges
-to compare the partition-based alignment test with the
+it encodes, checks ``enumerate_thickness`` at bounds 1 and 2 on that
+labelling against the (b+1)^|E| filter that contracts every candidate's
+zero edges afresh, and sweeps every labelling of the structurally
+relevant edges to compare the partition-based alignment test with the
 2-vertex-connected-subgraph oracle.  Prints counts; exits non-zero on any
 mismatch.
 """
@@ -17,6 +19,7 @@ mismatch.
 import argparse
 import itertools
 import json
+import math
 import sys
 import tempfile
 import time
@@ -26,9 +29,12 @@ from graphalign import (
     GeneratorSet,
     LabelledGraph,
     Monomial,
+    ThicknessFunction,
     build_atlas,
     circuit_partition,
     circuit_witness,
+    contracted_graph,
+    enumerate_thickness,
 )
 from graphalign.alignment import _class_verdict
 from graphalign.formats import graph_to_obj, parse_graph, serialize_graph, write_atlas
@@ -98,6 +104,19 @@ def brute_partition(G, circuits):
     return tuple(sorted(classes, key=min))
 
 
+def brute_thickness(G, bound):
+    """Every candidate vector with values <= bound whose classes, after its
+    zero edges are contracted, each have gcd 1; lexicographic."""
+    found = []
+    for vec in itertools.product(range(bound + 1), repeat=len(G.edges)):
+        M = ThicknessFunction.from_vector(G, vec)
+        values = M.as_dict()
+        parts = circuit_partition(contracted_graph(G, M))
+        if all(math.gcd(*(values[e] for e in cls)) == 1 for cls in parts):
+            found.append(M)
+    return found
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-vertices", type=int, default=4)
@@ -113,7 +132,7 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = written = atlases = 0
+    mismatches = swept = witnessed = written = atlases = enumerated = 0
     class_cache, root_cache = {}, {}
     names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, args.max_edges + 1)}
 
@@ -134,6 +153,11 @@ def main(argv=None):
         if files != atlas_files_oracle(atlas):
             print(f"ATLAS WRITER MISMATCH on shape {shape}")
             mismatches += 1
+        for bound in (1, 2):
+            enumerated += 1
+            if enumerate_thickness(G, bound) != brute_thickness(G, bound):
+                print(f"THICKNESS MISMATCH on shape {shape}, bound {bound}")
+                mismatches += 1
         G0 = shape_graph(shape, [alphabet[0]] * len(shape))
         circuits = set(brute_circuits(G0))
         if circuit_partition(G0) != brute_partition(G0, circuits):
@@ -196,6 +220,7 @@ def main(argv=None):
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
         f"{witnessed} witnesses checked, {written} graph texts checked, "
         f"{atlases} atlas directories checked, "
+        f"{enumerated} thickness enumerations checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0

@@ -429,9 +429,6 @@ class GraphMorphism:
             return m
         return m.restrict(self.kept_generators)
 
-    def edge_image(self, e: str) -> EdgeImage:
-        return dict(self.edge_map)[e]
-
     @property
     def contracted_edges(self) -> frozenset[str]:
         return frozenset(e for e, (kind, _) in self.edge_map if kind == "vertex")

@@ -89,6 +89,40 @@ def labelled_graphs(draw, max_vertices=5, max_edges=8, gens=("x", "y"), max_exp=
     return LabelledGraph.build(GeneratorSet(tuple(gens)), vertices, edges)
 
 
+@st.composite
+def chained_blocks(draw, max_edges=9, gens=("x", "y"), max_exp=2):
+    """Blocks chained at cut vertices, each hung at a vertex drawn before it:
+    loops, bridges, bundles of parallel edges and cycles (some with an edge
+    doubled).  Edge ids are a shuffled numbering, so the blocks interleave
+    in id order."""
+    vertices = ["v0"]
+    pairs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        at = draw(st.sampled_from(vertices))
+        kind = draw(st.sampled_from(["loop", "bridge", "bundle", "cycle"]))
+        if kind == "loop":
+            block = [(at, at)]
+        elif kind == "bridge":
+            block = [(at, f"v{len(vertices)}")]
+        elif kind == "bundle":
+            block = [(at, f"v{len(vertices)}")] * draw(st.integers(2, 3))
+        else:
+            ring = [at] + [f"v{len(vertices) + i}" for i in range(draw(st.integers(2, 3)))]
+            block = list(zip(ring, ring[1:] + ring[:1]))
+            if draw(st.booleans()):
+                block.append(block[0])
+        if len(pairs) + len(block) > max_edges:
+            break
+        pairs.extend(block)
+        vertices.extend(sorted({v for pair in block for v in pair} - set(vertices)))
+    ids = draw(st.permutations(range(len(pairs))))
+    edges = [
+        (f"e{i}", u, v, draw(monomials(gens, max_exp)))
+        for i, (u, v) in zip(ids, pairs)
+    ]
+    return LabelledGraph.build(GeneratorSet(tuple(gens)), vertices, edges)
+
+
 def random_graph(rng: random.Random, max_vertices=5, max_edges=8, gens=("x", "y"), max_exp=2):
     n = rng.randint(1, max_vertices)
     vertices = [f"v{i}" for i in range(n)]

@@ -220,9 +220,10 @@ def test_criterion_4_chart_identities():
         for M in ms:
             c = chart(G, M)
             assert verify_chart_substitution(c), (name, M)
+            values = M.as_dict()
             for rel in c.relations():
                 if isinstance(rel, TorusRelation):
-                    s = sum(n * M.value(e) for e, n in rel.exponents)
+                    s = sum(n * values[e] for e, n in rel.exponents)
                     assert s == 1, (name, M, rel)
             total += 1
     elapsed = time.perf_counter() - start
@@ -237,7 +238,8 @@ def test_criterion_5_gluing_symmetry_and_separatedness():
         parts = {M: circuit_partition(contracted_graph(G, M)) for M in ms}
 
         def delta_of(M, N):
-            diff = {e for e, v in M.values if N.value(e) != v}
+            theirs = N.as_dict()
+            diff = {e for e, v in M.values if theirs[e] != v}
             out = set()
             for T in (M, N):
                 for cls in parts[T]:

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from graphalign import atlas as atlas_module
 from hypothesis import given, settings
 
 from graphalign import (
@@ -33,7 +34,7 @@ from graphalign.atlas import (
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
-from strategies import labelled_graphs, mono, theta, threecycle, twogon
+from strategies import chained_blocks, labelled_graphs, mono, theta, threecycle, twogon
 
 
 def tf(G, *values):
@@ -133,6 +134,75 @@ class TestEnumerateThickness:
         for bound in (1, 2):
             assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
 
+    @settings(max_examples=30, deadline=None)
+    @given(chained_blocks(max_edges=9))
+    def test_chained_blocks_equal_brute_filter(self, G):
+        for bound in (0, 1):
+            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+
+    # The oracle contracts every one of the 3^|E| candidates afresh (1.2 s at
+    # nine edges), so bound 2 is drawn on smaller chains; nine edges at
+    # bound 2 are covered by the chain of three 3-cycles below.
+    @settings(max_examples=30, deadline=None)
+    @given(chained_blocks(max_edges=7))
+    def test_chained_blocks_bound_two_equal_brute_filter(self, G):
+        assert enumerate_thickness(G, 2) == _brute_thickness(G, 2)
+
+    def test_edgeless_graph(self):
+        G = LabelledGraph.build(GeneratorSet(("x",)), ["v1", "v2"], [])
+        for bound in (0, 1, 2):
+            assert enumerate_thickness(G, bound) == [ThicknessFunction(())]
+            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+
+    def test_loops_and_bridges_only(self):
+        # Every class is one edge, where the values 0 and 1 are valid.
+        x, y = mono(x=1), mono(y=1)
+        G = LabelledGraph.build(
+            GeneratorSet(("x", "y")),
+            ["v1", "v2", "v3"],
+            [
+                ("e3", "v1", "v2", x),
+                ("e1", "v2", "v2", y),
+                ("e4", "v2", "v3", mono()),
+                ("e2", "v1", "v1", x),
+            ],
+        )
+        for bound in (0, 1, 2):
+            found = enumerate_thickness(G, bound)
+            assert found == _brute_thickness(G, bound)
+        assert [M.vector() for M in found] == list(itertools.product(range(2), repeat=4))
+
+    def test_checks_each_block_once(self, monkeypatch):
+        # Three 3-cycles chained at the cut vertices v2 and v4; cycle j has
+        # the edges e{j}, e{j+3} and e{j+6}, so the blocks interleave in id
+        # order.  At bound 2 that is 3 * 3^3 checks, not 3^9.
+        x = mono(x=1)
+        G = LabelledGraph.build(
+            GeneratorSet(("x",)),
+            [f"v{i}" for i in range(7)],
+            [
+                (f"e{j + 3 * i}", f"v{2 * j + a}", f"v{2 * j + b}", x)
+                for j in range(3)
+                for i, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)])
+            ],
+        )
+        assert circuit_partition(G) == tuple(
+            frozenset({f"e{j}", f"e{j + 3}", f"e{j + 6}"}) for j in range(3)
+        )
+        calls = []
+        check = atlas_module.is_thickness_function
+
+        def counted(H, M):
+            calls.append(M)
+            return check(H, M)
+
+        monkeypatch.setattr(atlas_module, "is_thickness_function", counted)
+        found = enumerate_thickness(G, 2)
+        assert len(calls) == 3 * 27
+        per_block = len(enumerate_thickness(threecycle(x, x, x), 2))
+        assert len(found) == per_block**3
+        assert found == _brute_thickness(G, 2)
+
 
 # The slow path, kept as the oracle of the zero-pattern cache that the atlas
 # functions share: every call contracts and partitions afresh.
@@ -143,11 +213,13 @@ def _slow_classes(G, M):
 
 
 def _slow_valid(G, M):
-    return all(math.gcd(*(M.value(e) for e in cls)) == 1 for cls in _slow_classes(G, M))
+    values = M.as_dict()
+    return all(math.gcd(*(values[e] for e in cls)) == 1 for cls in _slow_classes(G, M))
 
 
 def _slow_overlap_edges(G, M, N):
-    diff = {e for e, v in M.values if N.value(e) != v}
+    theirs = N.as_dict()
+    diff = {e for e, v in M.values if theirs[e] != v}
     return frozenset(
         e for T in (M, N) for cls in _slow_classes(G, T) if cls & diff for e in cls
     )
@@ -288,13 +360,14 @@ class TestBuildAtlas:
             assert verify_chart_substitution(ov.chart)
 
     def test_overlap_accessor_is_symmetric(self):
-        atlas = build_atlas(twogon(), 1)
+        # One overlap per unordered pair of distinct charts, keyed in chart
+        # order, with the same inverted edges read from either side.
+        G = twogon()
+        atlas = build_atlas(G, 1)
         ms = atlas.thickness_functions
-        for M in ms:
-            for N in ms:
-                assert atlas.overlap_for(M, N).inverted_edges == atlas.overlap_for(
-                    N, M
-                ).inverted_edges
+        assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
+        for (M, N), ov in atlas.overlaps.items():
+            assert ov.inverted_edges == overlap_edges(G, M, N) == overlap_edges(G, N, M)
 
     @settings(max_examples=30, deadline=None)
     @given(labelled_graphs(max_edges=4, max_exp=2))
@@ -447,12 +520,13 @@ def _scales(G, M, vals):
     from graphalign import circuit_partition, contracted_graph
 
     H = contracted_graph(G, M)
+    values = M.as_dict()
     for cls in circuit_partition(H):
         ts = set()
         for e in cls:
-            if vals[e] % M.value(e):
+            if vals[e] % values[e]:
                 return False
-            ts.add(vals[e] // M.value(e))
+            ts.add(vals[e] // values[e])
         if len(ts) > 1:
             return False
     return True

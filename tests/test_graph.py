@@ -218,8 +218,9 @@ class TestContract:
         assert H.vertices == ("v1",)
         assert [e.id for e in H.edges] == ["e2"]
         assert H.edge("e2").is_loop
-        assert phi.edge_image("e1") == ("vertex", "v1")
-        assert phi.edge_image("e2") == ("edge", "e2")
+        images = dict(phi.edge_map)
+        assert images["e1"] == ("vertex", "v1")
+        assert images["e2"] == ("edge", "e2")
 
     def test_empty_contraction_is_identity(self):
         G = twogon()

@@ -87,7 +87,7 @@ class TestSpecialisationMap:
         fam = stratify(twogon(nc=True))
         phi = specialisation_map(fam, {"x", "y"}, {"x"})
         assert phi.contracted_edges == frozenset({"e2"})
-        assert phi.edge_image("e1") == ("edge", "e1")
+        assert dict(phi.edge_map)["e1"] == ("edge", "e1")
 
     def test_identity_on_equal_subsets(self):
         fam = stratify(twogon(nc=True))
