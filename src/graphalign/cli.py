@@ -66,7 +66,7 @@ def _parse_vector(text: str, flag: str) -> list[int]:
 
 def _parse_vanishing(G, text: Optional[str]) -> Optional[list[str]]:
     """The ``--vanishing`` generators, checked against G before any work."""
-    if not text:
+    if text is None:
         return None
     vanishing = text.split(",")
     dup = sorted({g for g in vanishing if vanishing.count(g) > 1})

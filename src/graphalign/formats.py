@@ -124,24 +124,6 @@ def load_graph(path: str | Path) -> LabelledGraph:
     return parse_graph(text, source=str(path))
 
 
-def graph_to_obj(G: LabelledGraph) -> dict:
-    return {
-        "generators": list(G.generators.names),
-        "nc": G.generators.nc,
-        "vertices": list(G.vertices),
-        "edges": [
-            {"id": e.id, "ends": list(e.ends), "label": monomial_to_obj(e.label)}
-            for e in G.edges
-        ],
-    }
-
-
-def _dump(obj) -> str:
-    """``json.dumps(obj, indent=2)`` plus a newline: the canonical text of
-    every output file, and the oracle the writers below are tested against."""
-    return json.dumps(obj, indent=2) + "\n"
-
-
 _quote = json.encoder.encode_basestring_ascii
 
 
@@ -176,8 +158,9 @@ def _object(fields: Sequence[tuple[str, str]], depth: int) -> str:
 
 
 def _write_document(path: Path, fields: Sequence[tuple[str, str]]) -> None:
-    """Write ``_object(fields, 0)`` and the newline ``_dump`` ends with, piece
-    by piece: the whole text of a large index is never held at once."""
+    """Write ``_object(fields, 0)`` and the newline that ends every canonical
+    text, piece by piece: the whole text of a large index is never held at
+    once."""
     with open(path, "w") as f:
         f.writelines(_object_parts(fields, 0))
         f.write("\n")
@@ -198,7 +181,9 @@ def _nested(text: str) -> str:
 
 
 def serialize_graph(G: LabelledGraph) -> str:
-    """The canonical text of G, equal to ``_dump(graph_to_obj(G))``.
+    """The canonical text of G: ``json.dumps(obj, indent=2)`` plus a newline,
+    for the object with the fields ``generators``, ``nc``, ``vertices`` and
+    ``edges`` described above (tests/oracles.py builds it and compares).
 
     Written in one pass over the edges, with each distinct label's fragment
     encoded once: ``json.dumps`` would run its pure-Python indenting encoder
@@ -290,32 +275,6 @@ def render_relations(c: ChartPresentation) -> list[str]:
     return out
 
 
-def chart_to_obj(c: ChartPresentation) -> dict:
-    return {
-        "generators": list(c.base.names),
-        "nc": c.base.nc,
-        "classes": [
-            {
-                "edges": list(cls.edges),
-                "aligning_var": cls.aligning_var,
-                "rows": [
-                    {
-                        "edge": row.edge,
-                        "label": monomial_to_obj(row.label),
-                        "multiplicity": row.multiplicity,
-                        "coefficient": row.coefficient,
-                        "unit_var": row.unit_var,
-                    }
-                    for row in cls.rows
-                ],
-            }
-            for cls in c.classes
-        ],
-        "inverted_labels": [monomial_to_obj(m) for m in c.inverted],
-        "rendered": render_relations(c),
-    }
-
-
 def _chart_parts(c: ChartPresentation) -> tuple[str, str]:
     """The text of c's file before and after its ``inverted_labels`` list.
 
@@ -358,12 +317,6 @@ def _chart_parts(c: ChartPresentation) -> tuple[str, str]:
     return head, tail + "\n"
 
 
-def serialize_chart(c: ChartPresentation) -> str:
-    """The canonical text of c, equal to ``_dump(chart_to_obj(c))``."""
-    head, tail = _chart_parts(c)
-    return head + _list([_label(m, 2) for m in c.inverted], 1) + tail
-
-
 @contextlib.contextmanager
 def _staged_dir(outdir: str | Path):
     """Assemble output in a temporary sibling, move into place on success.
@@ -393,7 +346,8 @@ def write_atlas(
     each distinct inverted label, and each thickness function's ``values``
     and file-name tag.  Most overlaps of chart(M) share their text with
     chart(M) or with another of its overlaps, so each distinct text is
-    built once and written to every file that has it.
+    built once and written to every file that has it.  The atlas oracle in
+    tests/oracles.py rebuilds every file with ``json.dumps``.
     """
     parts: dict[int, tuple[str, str]] = {}
     labels: dict[Monomial, str] = {}

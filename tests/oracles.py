@@ -1,0 +1,466 @@
+"""Brute-force oracles that the tests and scripts/oracle_sweep.py compare against.
+
+Each re-derives a result the slow way, sharing no shortcut with the code
+under test: circuit classes from every circuit, alignment from every
+2-vertex-connected subgraph and a direct common-root search, thickness
+functions by contracting every candidate afresh, and the text of every
+atlas, trace and strata file as ``json.dumps`` of an object built field by
+field.  The package holds none of this; the script loads it by its path.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import json
+import math
+from typing import Optional, Sequence
+
+from graphalign import (
+    Atlas,
+    ChartPresentation,
+    Edge,
+    GeneratorSet,
+    LabelledGraph,
+    Monomial,
+    ResolutionTrace,
+    StratifiedFamily,
+    ThicknessFunction,
+    circuit_partition,
+    circuit_witness,
+    closed_fibre,
+    connected_components,
+    contracted_graph,
+)
+from graphalign.alignment import _class_verdict
+from graphalign.formats import (
+    _chart_parts,
+    _label,
+    _list,
+    monomial_to_obj,
+    render_relations,
+)
+
+ORACLE_EDGE_CAP = 12
+
+
+def canonical_shapes(max_vertices=4, max_edges=5) -> list[tuple[tuple[int, int], ...]]:
+    """Edge multisets on at most ``max_vertices`` vertices with 1 to
+    ``max_edges`` edges, one representative per isomorphism class, ordered
+    by edge count and then by the edge pairs."""
+    verts = range(max_vertices)
+    pairs = [(i, j) for i in verts for j in verts if i <= j]
+    perms = list(itertools.permutations(verts))
+    seen = set()
+    for k in range(1, max_edges + 1):
+        for combo in itertools.combinations_with_replacement(pairs, k):
+            sig = min(
+                tuple(sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in combo))
+                for p in perms
+            )
+            seen.add(sig)
+    return sorted(seen, key=lambda s: (len(s), s))
+
+
+def shape_graph(shape, labels: Optional[Sequence[Monomial]] = None) -> LabelledGraph:
+    """The graph of ``shape`` over the generators x, y: edge ``e{i}`` joins
+    ``v{a}`` and ``v{b}`` for the i-th pair (a, b) and carries ``labels[i]``
+    (``x`` on every edge when no labels are given)."""
+    used = sorted({v for pair in shape for v in pair})
+    if labels is None:
+        labels = [Monomial.from_dict({"x": 1})] * len(shape)
+    return LabelledGraph.build(
+        GeneratorSet(("x", "y")),
+        [f"v{v}" for v in used],
+        [(f"e{i}", f"v{a}", f"v{b}", labels[i]) for i, (a, b) in enumerate(shape)],
+    )
+
+
+def _is_circuit(G: LabelledGraph, subset: Sequence[str]) -> bool:
+    """A subset of edges is a single circuit iff every touched vertex has
+    degree exactly 2 (a loop contributes 2) and the subgraph is connected."""
+    edges = [G.edge(e) for e in subset]
+    deg: dict[str, int] = {}
+    for e in edges:
+        for v in e.ends:
+            deg[v] = deg.get(v, 0) + 1
+    if any(d != 2 for d in deg.values()):
+        return False
+    verts = set(deg)
+    seen = {min(verts)}
+    frontier = list(seen)
+    while frontier:
+        at = frontier.pop()
+        for e in edges:
+            if at in e.ends and e.other_end(at) not in seen:
+                seen.add(e.other_end(at))
+                frontier.append(e.other_end(at))
+    return seen == verts
+
+
+def all_circuits(G: LabelledGraph) -> list[frozenset[str]]:
+    """Every circuit of G, as a set of edge ids, by trying every edge subset."""
+    ids = sorted(G.edge_ids)
+    return [
+        frozenset(combo)
+        for size in range(1, len(ids) + 1)
+        for combo in itertools.combinations(ids, size)
+        if _is_circuit(G, combo)
+    ]
+
+
+def brute_circuit_partition(G: LabelledGraph) -> tuple[frozenset[str], ...]:
+    """Maximal circuit-connected sets via X(e) = {e} + all co-circuit edges."""
+    circuits = all_circuits(G)
+    classes = set()
+    for e in G.edge_ids:
+        x = {e}
+        for c in circuits:
+            if e in c:
+                x |= c
+        classes.add(frozenset(x))
+    return tuple(sorted(classes, key=min))
+
+
+def witness_failures(G: LabelledGraph) -> tuple[int, list[tuple[str, str, list[str]]]]:
+    """``circuit_witness(G, e, f)`` for every ordered pair of distinct edges
+    in one circuit class, against the enumerated circuits: the number of
+    pairs checked, and each (e, f, w) whose w is not a circuit that starts
+    at e and passes through f."""
+    circuits = set(all_circuits(G))
+    checked, failures = 0, []
+    for cls in circuit_partition(G):
+        for e, f in itertools.permutations(sorted(cls), 2):
+            w = circuit_witness(G, e, f)
+            checked += 1
+            is_circuit = len(set(w)) == len(w) and frozenset(w) in circuits
+            if not is_circuit or w[0] != e or f not in w:
+                failures.append((e, f, w))
+    return checked, failures
+
+
+def _subset_connected(
+    vertices: set[str], edges: Sequence[Edge], removed: Optional[str] = None
+) -> bool:
+    """Connectivity of the subgraph, with the degenerate conventions.
+
+    The empty graph and a single vertex both count as connected.  When
+    ``removed`` is given, that vertex and its incident edges are deleted
+    first (other vertices stay, possibly isolated).
+    """
+    verts = {v for v in vertices if v != removed}
+    if len(verts) <= 1:
+        return True
+    pairs = [e.ends for e in edges if removed not in e.ends]
+    comps = connected_components(verts, pairs)
+    return len(comps) == 1
+
+
+def enumerate_2vc_subgraphs(G: LabelledGraph) -> list[frozenset[str]]:
+    """All edge subsets inducing a 2-vertex-connected subgraph (oracle only).
+
+    Conventions: a single edge (loop or bridge) is 2-vertex-connected; a
+    subgraph with >= 2 edges must be loop-free, connected, and stay
+    connected after removing any one vertex.  Loops inside larger subsets
+    are excluded so that 2-vertex-connected subgraphs are exactly the
+    circuit-connected ones.
+    """
+    if len(G.edges) > ORACLE_EDGE_CAP:
+        raise ValueError(
+            f"oracle is capped at {ORACLE_EDGE_CAP} edges, got {len(G.edges)}"
+        )
+    by_id = {e.id: e for e in G.edges}
+    out: list[frozenset[str]] = []
+    ids = sorted(by_id)
+    for size in range(1, len(ids) + 1):
+        for combo in itertools.combinations(ids, size):
+            edges = [by_id[i] for i in combo]
+            if size == 1:
+                out.append(frozenset(combo))
+                continue
+            if any(e.is_loop for e in edges):
+                continue
+            verts = {v for e in edges for v in e.ends}
+            if not _subset_connected(verts, edges):
+                continue
+            if all(_subset_connected(verts, edges, removed=v) for v in verts):
+                out.append(frozenset(combo))
+    return out
+
+
+def _has_common_root(labels: Sequence[Monomial]) -> bool:
+    """Direct search for l with every label a positive power of l.
+
+    Candidate roots are read off the first label's exponent divisors; no
+    gcd-normalisation shortcut, so this stays independent of
+    primitive_root.
+    """
+    units = [m.is_unit for m in labels]
+    if all(units):
+        return True
+    if any(units):
+        return False
+    first = labels[0]
+    g = math.gcd(*(e for _, e in first.exps))
+    for k in range(1, g + 1):
+        if g % k:
+            continue
+        if any(e % k for _, e in first.exps):
+            continue
+        root = Monomial(tuple((gen, e // k) for gen, e in first.exps))
+        ok = True
+        for m in labels:
+            n = m.exponent(root.exps[0][0]) // root.exps[0][1]
+            if n < 1 or root.pow(n) != m:
+                ok = False
+                break
+        if ok:
+            return True
+    return False
+
+
+def is_aligned_oracle(G: LabelledGraph) -> bool:
+    """Brute force: every 2-vertex-connected subgraph must admit a common root."""
+    by_id = G.labels()
+    for sub in enumerate_2vc_subgraphs(G):
+        if not _has_common_root([by_id[e] for e in sorted(sub)]):
+            return False
+    return True
+
+
+class AlignmentSweep:
+    """The partition-based alignment test against the 2-vertex-connected
+    subgraph oracle, on every labelling of a shape over an alphabet.
+
+    Only the structurally relevant edges vary: an edge that no multi-edge
+    circuit class and no multi-edge 2-vertex-connected subgraph touches
+    cannot change either verdict, so its label stays ``alphabet[0]``.  Each
+    verdict depends only on the labels of one class or subgraph, so both
+    are memoised per tuple of alphabet indices, across shapes.
+    """
+
+    def __init__(self, alphabet: Sequence[Monomial]):
+        def fast(key: tuple[int, ...]) -> bool:
+            names = tuple(f"d{i}" for i in range(len(key)))
+            return _class_verdict(names, [alphabet[i] for i in key]).aligned
+
+        def oracle(key: tuple[int, ...]) -> bool:
+            return _has_common_root([alphabet[i] for i in key])
+
+        self._size = len(alphabet)
+        self._fast = functools.cache(fast)
+        self._oracle = functools.cache(oracle)
+
+    def labellings(self, shape) -> list[tuple[tuple[int, ...], bool, bool]]:
+        """``(vec, fast, oracle)`` for each labelling, in lexicographic order
+        of ``vec``: edge ``e{i}`` of ``shape_graph(shape)`` carries
+        ``alphabet[vec[i]]``, and ``fast`` and ``oracle`` are its two
+        alignment verdicts."""
+        G = shape_graph(shape)
+        position = {e: int(e[1:]) for e in G.edge_ids}
+        classes = [
+            tuple(sorted(position[e] for e in cls))
+            for cls in circuit_partition(G)
+            if len(cls) > 1
+        ]
+        subsets = [
+            tuple(sorted(position[e] for e in sub))
+            for sub in enumerate_2vc_subgraphs(G)
+            if len(sub) > 1
+        ]
+        relevant = {p for grp in classes + subsets for p in grp}
+        choices = [range(self._size) if p in relevant else (0,) for p in range(len(shape))]
+        fast, oracle = self._fast, self._oracle
+        return [
+            (
+                vec,
+                all(fast(tuple(vec[p] for p in grp)) for grp in classes),
+                all(oracle(tuple(vec[p] for p in grp)) for grp in subsets),
+            )
+            for vec in itertools.product(*choices)
+        ]
+
+
+def contracted_classes(G: LabelledGraph, M: ThicknessFunction) -> tuple[frozenset[str], ...]:
+    """The circuit classes of G with M's zero edges contracted, computed
+    afresh on every call (no zero-pattern cache)."""
+    return circuit_partition(contracted_graph(G, M))
+
+
+def brute_overlap_edges(
+    M: ThicknessFunction, N: ThicknessFunction, classes_of_M, classes_of_N
+) -> frozenset[str]:
+    """The edges the overlap of chart(M) and chart(N) inverts: every edge of
+    a contracted class of M or of N that holds an edge where M and N differ."""
+    theirs = N.as_dict()
+    diff = {e for e, v in M.values if theirs[e] != v}
+    return frozenset(e for cls in (*classes_of_M, *classes_of_N) if cls & diff for e in cls)
+
+
+def brute_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]:
+    """Every candidate vector with values <= bound whose classes, after its
+    zero edges are contracted, each have gcd 1; lexicographic."""
+    found = []
+    for vec in itertools.product(range(bound + 1), repeat=len(G.edges)):
+        M = ThicknessFunction.from_vector(G, vec)
+        values = M.as_dict()
+        if all(math.gcd(*(values[e] for e in cls)) == 1 for cls in contracted_classes(G, M)):
+            found.append(M)
+    return found
+
+
+def _dump(obj) -> str:
+    """``json.dumps(obj, indent=2)`` plus a newline: the canonical text of
+    every output file."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def graph_to_obj(G: LabelledGraph) -> dict:
+    return {
+        "generators": list(G.generators.names),
+        "nc": G.generators.nc,
+        "vertices": list(G.vertices),
+        "edges": [
+            {"id": e.id, "ends": list(e.ends), "label": monomial_to_obj(e.label)}
+            for e in G.edges
+        ],
+    }
+
+
+def chart_to_obj(c: ChartPresentation) -> dict:
+    return {
+        "generators": list(c.base.names),
+        "nc": c.base.nc,
+        "classes": [
+            {
+                "edges": list(cls.edges),
+                "aligning_var": cls.aligning_var,
+                "rows": [
+                    {
+                        "edge": row.edge,
+                        "label": monomial_to_obj(row.label),
+                        "multiplicity": row.multiplicity,
+                        "coefficient": row.coefficient,
+                        "unit_var": row.unit_var,
+                    }
+                    for row in cls.rows
+                ],
+            }
+            for cls in c.classes
+        ],
+        "inverted_labels": [monomial_to_obj(m) for m in c.inverted],
+        "rendered": render_relations(c),
+    }
+
+
+def serialize_chart(c: ChartPresentation) -> str:
+    """The canonical text of c from the writer's fragments, with nothing
+    shared between files: equal to ``_dump(chart_to_obj(c))``."""
+    head, tail = _chart_parts(c)
+    return head + _list([_label(m, 2) for m in c.inverted], 1) + tail
+
+
+# Directory oracles ----------------------------------------------------------
+
+
+def _chart_filename(kind: str, *tfs: ThicknessFunction) -> str:
+    tag = "__".join("-".join(str(v) for v in tf.vector()) for tf in tfs)
+    return f"{kind}_{tag}.json"
+
+
+def atlas_files_oracle(
+    atlas: Atlas, vanishing: Optional[Sequence[str]] = None
+) -> dict[str, str]:
+    """File name to text for ``write_atlas(atlas, out, vanishing)``."""
+    files = {}
+    index: dict = {
+        "graph": graph_to_obj(atlas.graph),
+        "bound": atlas.bound,
+        "charts": [],
+        "overlaps": [],
+    }
+    for M, c in atlas.charts.items():
+        fname = _chart_filename("chart", M)
+        files[fname] = _dump(chart_to_obj(c))
+        entry: dict = {"values": M.as_dict(), "file": fname}
+        if vanishing is not None:
+            fr = closed_fibre(c, vanishing)
+            entry["fibre"] = {
+                "vanishing": sorted(vanishing),
+                "nonempty": fr.nonempty,
+                "connected": fr.connected,
+                "torus_rank": fr.torus_rank,
+            }
+        index["charts"].append(entry)
+    for (M, N), ov in atlas.overlaps.items():
+        fname = _chart_filename("overlap", M, N)
+        files[fname] = _dump(chart_to_obj(ov.chart))
+        index["overlaps"].append(
+            {
+                "left": M.as_dict(),
+                "right": N.as_dict(),
+                "inverted_edges": sorted(ov.inverted_edges),
+                "file": fname,
+            }
+        )
+    files["atlas.index"] = _dump(index)
+    return files
+
+
+def _graph_dot(G: LabelledGraph, name: str) -> str:
+    lines = [f"graph {json.dumps(name)} {{"]
+    for v in G.vertices:
+        lines.append(f"  {json.dumps(v)};")
+    for e in G.edges:
+        u, w = e.ends
+        label = json.dumps(f"{e.id}: {e.label}")
+        lines.append(f"  {json.dumps(u)} -- {json.dumps(w)} [label={label}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def trace_files_oracle(trace: ResolutionTrace, dot: bool = False) -> dict[str, str]:
+    """File name to text for ``write_trace(trace, out, dot)``."""
+    files = {}
+    log: dict = {"valuation": trace.valuation.as_dict(), "steps": []}
+    for i, step in enumerate(trace.steps):
+        fname = f"step_{i:02d}.graph"
+        files[fname] = _dump(graph_to_obj(step.graph))
+        if dot:
+            files[f"step_{i:02d}.dot"] = _graph_dot(step.graph, f"step{i}")
+        log["steps"].append(
+            {
+                "file": fname,
+                "delta": step.delta,
+                "rewrites": [
+                    {"edge": r.edge, "rule": r.rule, "produced": list(r.produced)}
+                    for r in step.rewrites
+                ],
+            }
+        )
+    files["trace.index"] = _dump(log)
+    return files
+
+
+def strata_files_oracle(fam: StratifiedFamily) -> dict[str, str]:
+    """File name to text for ``write_strata(fam, out)``."""
+
+    def tag(J: frozenset[str]) -> str:
+        return "{" + ",".join(sorted(J)) + "}"
+
+    files = {}
+    index: dict = {"controlling": graph_to_obj(fam.controlling), "strata": []}
+    lines = ['digraph "strata" {']
+    for i, J in enumerate(fam.subsets()):
+        fname = f"stratum_{i:02d}.graph"
+        graph = fam.strata[J].graph
+        files[fname] = _dump(graph_to_obj(graph))
+        index["strata"].append({"generators": sorted(J), "file": fname})
+        label = json.dumps(f"{tag(J)}: {len(graph.edges)} edges")
+        lines.append(f"  {json.dumps(tag(J))} [label={label}];")
+    for J, J2 in sorted(fam.covers, key=lambda p: (sorted(p[0]), sorted(p[1]))):
+        lines.append(f"  {json.dumps(tag(J))} -> {json.dumps(tag(J2))};")
+    lines.append("}")
+    files["poset.dot"] = "\n".join(lines) + "\n"
+    files["strata.index"] = _dump(index)
+    return files

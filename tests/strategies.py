@@ -1,9 +1,10 @@
-"""Shared graph builders, hypothesis strategies, and brute-force oracles."""
+"""Shared graph builders and hypothesis strategies.
+
+The brute-force oracles the tests compare against live in ``oracles.py``.
+"""
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 
 from hypothesis import strategies as st
@@ -136,73 +137,3 @@ def random_graph(rng: random.Random, max_vertices=5, max_edges=8, gens=("x", "y"
         edges.append((f"e{i}", u, v, label))
     return LabelledGraph.build(GeneratorSet(tuple(gens)), vertices, edges)
 
-
-# Brute-force oracles --------------------------------------------------------
-
-def is_circuit(G: LabelledGraph, subset: frozenset) -> bool:
-    """A subset of edges is a single circuit iff every touched vertex has
-    degree exactly 2 (a loop contributes 2) and the subgraph is connected."""
-    edges = [G.edge(e) for e in subset]
-    deg: dict[str, int] = {}
-    for e in edges:
-        u, v = e.ends
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    verts = set(deg)
-    seen = {next(iter(sorted(verts)))}
-    frontier = list(seen)
-    while frontier:
-        at = frontier.pop()
-        for e in edges:
-            if at in e.ends:
-                other = e.other_end(at)
-                if other not in seen:
-                    seen.add(other)
-                    frontier.append(other)
-    return seen == verts
-
-
-def all_circuits(G: LabelledGraph) -> list[frozenset]:
-    ids = sorted(G.edge_ids)
-    out = []
-    for size in range(1, len(ids) + 1):
-        for combo in itertools.combinations(ids, size):
-            if is_circuit(G, frozenset(combo)):
-                out.append(frozenset(combo))
-    return out
-
-
-def brute_circuit_partition(G: LabelledGraph) -> tuple[frozenset, ...]:
-    """Maximal circuit-connected sets via X(e) = {e} + all co-circuit edges."""
-    circuits = all_circuits(G)
-    classes = set()
-    for e in G.edge_ids:
-        x = {e}
-        for c in circuits:
-            if e in c:
-                x |= c
-        classes.add(frozenset(x))
-    return tuple(sorted(classes, key=min))
-
-
-def brute_common_root(labels) -> bool:
-    """Search every candidate root read off the first label's exponents."""
-    units = [m.is_unit for m in labels]
-    if all(units):
-        return True
-    if any(units):
-        return False
-    first = labels[0]
-    g = math.gcd(*(e for _, e in first.exps))
-    for k in range(1, g + 1):
-        if any(e % k for _, e in first.exps):
-            continue
-        root = Monomial(tuple((gen, e // k) for gen, e in first.exps))
-        if all(
-            any(root.pow(n) == m for n in range(1, 1 + max(e for _, e in m.exps)))
-            for m in labels
-        ):
-            return True
-    return False

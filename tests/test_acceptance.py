@@ -12,7 +12,6 @@ glue code around the memoised per-class and per-subgraph decisions.
 """
 
 import itertools
-import json
 import math
 import random
 import time
@@ -27,7 +26,6 @@ from graphalign import (
     chart,
     circuit_partition,
     closed_fibre,
-    contracted_graph,
     enumerate_thickness,
     first_betti,
     is_aligned,
@@ -39,14 +37,21 @@ from graphalign import (
     trait_factorisation,
     verify_chart_substitution,
 )
-from graphalign.alignment import _class_verdict
 from graphalign.atlas import TorusRelation
 from graphalign.cli import run
 from graphalign.formats import load_graph, parse_graph, serialize_graph
-from graphalign.oracles import _has_common_root, enumerate_2vc_subgraphs, is_aligned_oracle
 
 from conftest import FIXTURES
-from strategies import brute_circuit_partition, random_graph, theta, threecycle, twogon
+from oracles import (
+    AlignmentSweep,
+    brute_circuit_partition,
+    brute_overlap_edges,
+    canonical_shapes,
+    contracted_classes,
+    is_aligned_oracle,
+    shape_graph,
+)
+from strategies import random_graph, theta, threecycle, twogon
 
 FIXTURE_NAMES = ["twogon.graph", "threecycle.graph", "theta.graph", "mixed6.graph"]
 
@@ -55,40 +60,6 @@ LABELS9 = [
     for i in range(3)
     for j in range(3)
 ]
-
-
-def _canonical_shapes(max_vertices=4, max_edges=5):
-    """Edge multisets over <= 4 vertices, one representative per isomorphism class."""
-    verts = range(max_vertices)
-    pairs = [(i, j) for i in verts for j in verts if i <= j]
-    perms = list(itertools.permutations(verts))
-    shapes = []
-    seen = set()
-    for k in range(1, max_edges + 1):
-        for combo in itertools.combinations_with_replacement(pairs, k):
-            sig = min(
-                tuple(
-                    sorted(
-                        (min(p[a], p[b]), max(p[a], p[b])) for a, b in combo
-                    )
-                )
-                for p in perms
-            )
-            if sig not in seen:
-                seen.add(sig)
-                shapes.append(sig)
-    return shapes
-
-
-def _shape_graph(shape, labels=None) -> LabelledGraph:
-    used = sorted({v for pair in shape for v in pair})
-    vertices = [f"v{v}" for v in used]
-    if labels is None:
-        labels = [Monomial.from_dict({"x": 1})] * len(shape)
-    edges = [
-        (f"e{i}", f"v{a}", f"v{b}", labels[i]) for i, (a, b) in enumerate(shape)
-    ]
-    return LabelledGraph.build(GeneratorSet(("x", "y")), vertices, edges)
 
 
 def test_criterion_1_thickness_examples():
@@ -116,59 +87,18 @@ def test_criterion_1_thickness_examples():
 def test_criterion_2_alignment_oracle_equivalence():
     start = time.perf_counter()
 
-    shapes = _canonical_shapes()
-    dummy_names = {k: tuple(f"d{i}" for i in range(k)) for k in range(1, 6)}
-    class_cache: dict = {}
-    root_cache: dict = {}
-
-    def class_ok(key):
-        v = class_cache.get(key)
-        if v is None:
-            v = _class_verdict(
-                dummy_names[len(key)], [LABELS9[i] for i in key]
-            ).aligned
-            class_cache[key] = v
-        return v
-
-    def root_ok(key):
-        v = root_cache.get(key)
-        if v is None:
-            v = _has_common_root([LABELS9[i] for i in key])
-            root_cache[key] = v
-        return v
-
+    shapes = canonical_shapes()
+    sweep = AlignmentSweep(LABELS9)
     checked = 0
     end_to_end = 0
     for shape in shapes:
-        G0 = _shape_graph(shape)
-        idx = {e: i for i, e in enumerate(G0.edge_ids)}
-        classes = [
-            tuple(sorted(idx[e] for e in cls))
-            for cls in circuit_partition(G0)
-            if len(cls) > 1
-        ]
-        subsets = [
-            tuple(sorted(idx[e] for e in sub))
-            for sub in enumerate_2vc_subgraphs(G0)
-            if len(sub) > 1
-        ]
-        relevant = sorted({p for grp in classes + subsets for p in grp})
-        pos = {p: i for i, p in enumerate(relevant)}
-        cgroups = [tuple(pos[p] for p in grp) for grp in classes]
-        sgroups = [tuple(pos[p] for p in grp) for grp in subsets]
-
-        assignments = list(itertools.product(range(9), repeat=len(relevant)))
-        sample = {0, len(assignments) // 2, len(assignments) - 1}
-        for a_i, vec in enumerate(assignments):
-            fast = all(class_ok(tuple(vec[q] for q in grp)) for grp in cgroups)
-            orac = all(root_ok(tuple(vec[q] for q in grp)) for grp in sgroups)
+        rows = sweep.labellings(shape)
+        sample = {0, len(rows) // 2, len(rows) - 1}
+        for a_i, (vec, fast, orac) in enumerate(rows):
             assert fast == orac, (shape, vec)
             checked += 1
             if a_i in sample:
-                labels = [LABELS9[0]] * len(shape)
-                for p, q in pos.items():
-                    labels[p] = LABELS9[vec[q]]
-                G = _shape_graph(shape, labels)
+                G = shape_graph(shape, [LABELS9[q] for q in vec])
                 full_fast = is_aligned(G)
                 full_orac = is_aligned_oracle(G)
                 assert full_fast == fast and full_orac == orac, (shape, vec)
@@ -190,9 +120,9 @@ def test_criterion_2_alignment_oracle_equivalence():
 
 def test_criterion_3_partition_oracle_equivalence():
     start = time.perf_counter()
-    shapes = _canonical_shapes()
+    shapes = canonical_shapes()
     for shape in shapes:
-        G = _shape_graph(shape)
+        G = shape_graph(shape)
         assert circuit_partition(G) == brute_circuit_partition(G), shape
     rng = random.Random(991)
     for _ in range(1000):
@@ -235,17 +165,10 @@ def test_criterion_5_gluing_symmetry_and_separatedness():
     start = time.perf_counter()
     pair_count = 0
     for name, (G, ms) in _fixture_charts().items():
-        parts = {M: circuit_partition(contracted_graph(G, M)) for M in ms}
+        parts = {M: contracted_classes(G, M) for M in ms}
 
         def delta_of(M, N):
-            theirs = N.as_dict()
-            diff = {e for e, v in M.values if theirs[e] != v}
-            out = set()
-            for T in (M, N):
-                for cls in parts[T]:
-                    if cls & diff:
-                        out |= cls
-            return frozenset(out)
+            return brute_overlap_edges(M, N, parts[M], parts[N])
 
         rng = random.Random(17)
         spot = 0

@@ -10,8 +10,8 @@ from graphalign import (
     is_irregularly_aligned,
     strong_alignment_level,
 )
-from graphalign.oracles import is_aligned_oracle
 
+from oracles import is_aligned_oracle
 from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
 
 

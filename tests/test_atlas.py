@@ -17,7 +17,6 @@ from graphalign import (
     chart,
     circuit_partition,
     closed_fibre,
-    contracted_graph,
     enumerate_thickness,
     is_thickness_function,
     overlap,
@@ -34,6 +33,7 @@ from graphalign.atlas import (
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
+from oracles import brute_overlap_edges, brute_thickness, contracted_classes
 from strategies import chained_blocks, labelled_graphs, mono, theta, threecycle, twogon
 
 
@@ -126,19 +126,19 @@ class TestEnumerateThickness:
             ("wheel", 1),
         ]:
             G = load_graph(FIXTURES / f"{name}.graph")
-            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound), name
+            assert enumerate_thickness(G, bound) == brute_thickness(G, bound), name
 
     @settings(max_examples=60, deadline=None)
     @given(labelled_graphs(max_edges=5, max_exp=2))
     def test_random_graphs_equal_brute_filter(self, G):
         for bound in (1, 2):
-            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+            assert enumerate_thickness(G, bound) == brute_thickness(G, bound)
 
     @settings(max_examples=30, deadline=None)
     @given(chained_blocks(max_edges=9))
     def test_chained_blocks_equal_brute_filter(self, G):
         for bound in (0, 1):
-            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+            assert enumerate_thickness(G, bound) == brute_thickness(G, bound)
 
     # The oracle contracts every one of the 3^|E| candidates afresh (1.2 s at
     # nine edges), so bound 2 is drawn on smaller chains; nine edges at
@@ -146,13 +146,13 @@ class TestEnumerateThickness:
     @settings(max_examples=30, deadline=None)
     @given(chained_blocks(max_edges=7))
     def test_chained_blocks_bound_two_equal_brute_filter(self, G):
-        assert enumerate_thickness(G, 2) == _brute_thickness(G, 2)
+        assert enumerate_thickness(G, 2) == brute_thickness(G, 2)
 
     def test_edgeless_graph(self):
         G = LabelledGraph.build(GeneratorSet(("x",)), ["v1", "v2"], [])
         for bound in (0, 1, 2):
             assert enumerate_thickness(G, bound) == [ThicknessFunction(())]
-            assert enumerate_thickness(G, bound) == _brute_thickness(G, bound)
+            assert enumerate_thickness(G, bound) == brute_thickness(G, bound)
 
     def test_loops_and_bridges_only(self):
         # Every class is one edge, where the values 0 and 1 are valid.
@@ -169,7 +169,7 @@ class TestEnumerateThickness:
         )
         for bound in (0, 1, 2):
             found = enumerate_thickness(G, bound)
-            assert found == _brute_thickness(G, bound)
+            assert found == brute_thickness(G, bound)
         assert [M.vector() for M in found] == list(itertools.product(range(2), repeat=4))
 
     def test_checks_each_block_once(self, monkeypatch):
@@ -201,37 +201,7 @@ class TestEnumerateThickness:
         assert len(calls) == 3 * 27
         per_block = len(enumerate_thickness(threecycle(x, x, x), 2))
         assert len(found) == per_block**3
-        assert found == _brute_thickness(G, 2)
-
-
-# The slow path, kept as the oracle of the zero-pattern cache that the atlas
-# functions share: every call contracts and partitions afresh.
-
-
-def _slow_classes(G, M):
-    return circuit_partition(contracted_graph(G, M))
-
-
-def _slow_valid(G, M):
-    values = M.as_dict()
-    return all(math.gcd(*(values[e] for e in cls)) == 1 for cls in _slow_classes(G, M))
-
-
-def _slow_overlap_edges(G, M, N):
-    theirs = N.as_dict()
-    diff = {e for e, v in M.values if theirs[e] != v}
-    return frozenset(
-        e for T in (M, N) for cls in _slow_classes(G, T) if cls & diff for e in cls
-    )
-
-
-def _brute_thickness(G, bound):
-    """The (b+1)^|E| filter over the slow validity check."""
-    candidates = (
-        ThicknessFunction.from_vector(G, vec)
-        for vec in itertools.product(range(bound + 1), repeat=len(G.edges))
-    )
-    return [M for M in candidates if _slow_valid(G, M)]
+        assert found == brute_thickness(G, 2)
 
 
 class TestBezout:
@@ -380,23 +350,24 @@ class TestBuildAtlas:
 
 
 def _assert_atlas_equals_per_pair(G, bound):
-    """build_atlas against the slow path, pair by pair.
+    """build_atlas against the slow path of the oracles, pair by pair: every
+    call contracts and partitions afresh, with no zero-pattern cache.
 
     Each chart is built on a fresh copy of G, whose cache holds only that
     function's zero pattern, and must have the slow path's classes.
     """
     atlas = build_atlas(G, bound)
-    ms = _brute_thickness(G, bound)
+    ms = brute_thickness(G, bound)
     charts = {M: chart(replace(G), M) for M in ms}
     for M, c in charts.items():
-        slow = sorted(tuple(sorted(cls)) for cls in _slow_classes(G, M))
+        slow = sorted(tuple(sorted(cls)) for cls in contracted_classes(G, M))
         assert [cls.edges for cls in c.classes] == slow
     assert list(atlas.charts) == ms
     assert atlas.charts == charts
     assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
     labels = G.labels()
     for (M, N), ov in atlas.overlaps.items():
-        delta = _slow_overlap_edges(G, M, N)
+        delta = brute_overlap_edges(M, N, contracted_classes(G, M), contracted_classes(G, N))
         assert ov.inverted_edges == delta
         assert overlap_edges(G, M, N) == delta
         assert ov.left_chart is atlas.charts[M]
@@ -517,11 +488,8 @@ class TestTraitFactorisation:
 
 
 def _scales(G, M, vals):
-    from graphalign import circuit_partition, contracted_graph
-
-    H = contracted_graph(G, M)
     values = M.as_dict()
-    for cls in circuit_partition(H):
+    for cls in contracted_classes(G, M):
         ts = set()
         for e in cls:
             if vals[e] % values[e]:

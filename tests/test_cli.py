@@ -201,13 +201,21 @@ class TestVanishing:
             (TWOGON, "y,x,y", "--vanishing: duplicate generators ['y']"),
             (TWOGON, "zz", "unknown generators ['zz']"),
             (TWOGON, "x,", "unknown generators ['']"),
+            (TWOGON, "", "unknown generators ['']"),
             (
                 str(FIXTURES / "mixed6.graph"),
                 "x",
                 "closed-fibre analysis needs single-generator labels, got z^2",
             ),
         ],
-        ids=["duplicate", "duplicate-apart", "unknown", "empty-name", "non-nc-label"],
+        ids=[
+            "duplicate",
+            "duplicate-apart",
+            "unknown",
+            "empty-name",
+            "empty-argument",
+            "non-nc-label",
+        ],
     )
     def test_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, graph, vanishing, message

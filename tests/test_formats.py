@@ -19,11 +19,9 @@ from graphalign.atlas import Atlas, Overlap
 from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
-    graph_to_obj,
     load_graph,
     morphism_merged_vertices,
     parse_graph,
-    serialize_chart,
     serialize_graph,
     strata_poset_dot,
     write_atlas,
@@ -32,9 +30,15 @@ from graphalign.formats import (
 )
 from graphalign.cli import run
 from graphalign.graph import specialise
-from graphalign.oracles import atlas_files_oracle, strata_files_oracle, trace_files_oracle
 
 from conftest import FIXTURES
+from oracles import (
+    atlas_files_oracle,
+    graph_to_obj,
+    serialize_chart,
+    strata_files_oracle,
+    trace_files_oracle,
+)
 from strategies import labelled_graphs, mono, twogon
 
 
