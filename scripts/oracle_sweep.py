@@ -10,7 +10,11 @@ parser on one labelling of every shape, checks every file ``write_atlas``
 writes at bound 1 on that labelling against ``json.dumps`` of the object
 it encodes, checks ``enumerate_thickness`` at bounds 1 and 2 on that
 labelling against the (b+1)^|E| filter that contracts every candidate's
-zero edges afresh, and sweeps every labelling of the structurally
+zero edges afresh, gives every shape a normal-crossings labelling (edge
+``e{i}`` carries its own generator ``g{i}``) and checks every file
+``write_strata`` writes on it against ``json.dumps`` of the object it
+encodes and every stratum against ``specialise``, which builds and checks
+the stratum's morphism, and sweeps every labelling of the structurally
 relevant edges to compare the partition-based alignment test with the
 2-vertex-connected-subgraph oracle.  Prints counts; exits non-zero on any
 mismatch.
@@ -28,8 +32,16 @@ import tempfile
 import time
 from pathlib import Path
 
-from graphalign import Monomial, build_atlas, circuit_partition, enumerate_thickness
-from graphalign.formats import parse_graph, serialize_graph, write_atlas
+from graphalign import (
+    GeneratorSet,
+    Monomial,
+    build_atlas,
+    circuit_partition,
+    enumerate_thickness,
+    specialise,
+    stratify,
+)
+from graphalign.formats import parse_graph, serialize_graph, write_atlas, write_strata
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
@@ -40,8 +52,17 @@ from oracles import (  # noqa: E402
     canonical_shapes,
     graph_to_obj,
     shape_graph,
+    strata_files_oracle,
     witness_failures,
 )
+
+
+def written(write, obj) -> dict[str, str]:
+    """File name to text of the directory ``write(obj, outdir)`` makes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        write(obj, out)
+        return {p.name: p.read_text() for p in out.iterdir()}
 
 
 def main(argv=None):
@@ -59,7 +80,7 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = written = atlases = enumerated = 0
+    mismatches = swept = witnessed = texts = atlases = strata_dirs = enumerated = 0
     sweep = AlignmentSweep(alphabet)
 
     for shape in shapes:
@@ -67,18 +88,26 @@ def main(argv=None):
         # labels once a shape has more edges than the alphabet has entries.
         G = shape_graph(shape, [alphabet[i % len(alphabet)] for i in range(len(shape))])
         text = serialize_graph(G)
-        written += 1
+        texts += 1
         if text != json.dumps(graph_to_obj(G), indent=2) + "\n" or parse_graph(text) != G:
             print(f"WRITER MISMATCH on shape {shape}")
             mismatches += 1
         atlas = build_atlas(G, 1)
-        with tempfile.TemporaryDirectory() as tmp:
-            write_atlas(atlas, Path(tmp) / "atlas")
-            files = {p.name: p.read_text() for p in (Path(tmp) / "atlas").iterdir()}
         atlases += 1
-        if files != atlas_files_oracle(atlas):
+        if written(write_atlas, atlas) != atlas_files_oracle(atlas):
             print(f"ATLAS WRITER MISMATCH on shape {shape}")
             mismatches += 1
+        gens = tuple(f"g{i}" for i in range(len(shape)))
+        N = shape_graph(shape, [Monomial.generator(g) for g in gens], GeneratorSet(gens, nc=True))
+        fam = stratify(N)
+        strata_dirs += 1
+        if written(write_strata, fam) != strata_files_oracle(fam):
+            print(f"STRATA WRITER MISMATCH on shape {shape}")
+            mismatches += 1
+        for J, stratum in fam.strata.items():
+            if stratum.graph != specialise(N, J)[0]:
+                print(f"STRATUM MISMATCH on shape {shape}, generators {sorted(J)}")
+                mismatches += 1
         for bound in (1, 2):
             enumerated += 1
             if enumerate_thickness(G, bound) != brute_thickness(G, bound):
@@ -103,8 +132,8 @@ def main(argv=None):
     elapsed = time.time() - start
     print(
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
-        f"{witnessed} witnesses checked, {written} graph texts checked, "
-        f"{atlases} atlas directories checked, "
+        f"{witnessed} witnesses checked, {texts} graph texts checked, "
+        f"{atlases} atlas directories checked, {strata_dirs} strata directories checked, "
         f"{enumerated} thickness enumerations checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"
     )

@@ -189,8 +189,16 @@ def serialize_graph(G: LabelledGraph) -> str:
     encoded once: ``json.dumps`` would run its pure-Python indenting encoder
     over one object per edge.
     """
-    vertices = {v: _quote(v) for v in G.vertices}
-    labels: dict[Monomial, str] = {}
+    return _graph_text(G, {}, {})
+
+
+def _graph_text(
+    G: LabelledGraph, vertices: dict[str, str], labels: dict[Monomial, str]
+) -> str:
+    """``serialize_graph(G)``, taking each vertex id's encoding and each
+    label's fragment from ``vertices`` and ``labels``, and adding there the
+    ones not yet encoded: graphs that share ids and labels share the work."""
+    quoted = [vertices.get(v) or vertices.setdefault(v, _quote(v)) for v in G.vertices]
     edges = []
     for e in G.edges:
         label = labels.get(e.label)
@@ -205,7 +213,7 @@ def serialize_graph(G: LabelledGraph) -> str:
     generators = _list([_quote(g) for g in G.generators.names], 1)
     return (
         f'{{\n  "generators": {generators},\n  "nc": {_bool(G.generators.nc)},\n'
-        f'  "vertices": {_list(list(vertices.values()), 1)},\n'
+        f'  "vertices": {_list(quoted, 1)},\n'
         f'  "edges": {_list(edges, 1)}\n}}\n'
     )
 
@@ -457,35 +465,41 @@ def write_trace(trace: ResolutionTrace, outdir: str | Path, dot: bool = False) -
 
 
 def strata_poset_dot(fam: StratifiedFamily) -> str:
+    # Each subset's sorted generators, and its node name, are made once.
+    subsets = fam.subsets()
+    key = {J: tuple(sorted(J)) for J in subsets}
+    tag = {J: "{" + ",".join(k) + "}" for J, k in key.items()}
+    node = {J: _quote(t) for J, t in tag.items()}
     lines = ['digraph "strata" {']
-    for J in fam.subsets():
-        tag = "{" + ",".join(sorted(J)) + "}"
-        stratum = fam.strata[J]
-        lines.append(
-            f"  {_quote(tag)} [label="
-            f"{_quote(f'{tag}: {len(stratum.graph.edges)} edges')}];"
-        )
-    for (J, J2) in sorted(fam.covers, key=lambda p: (sorted(p[0]), sorted(p[1]))):
-        a = "{" + ",".join(sorted(J)) + "}"
-        b = "{" + ",".join(sorted(J2)) + "}"
-        lines.append(f"  {_quote(a)} -> {_quote(b)};")
+    for J in subsets:
+        label = _quote(f"{tag[J]}: {len(fam.strata[J].graph.edges)} edges")
+        lines.append(f"  {node[J]} [label={label}];")
+    for J, J2 in sorted(fam.covers, key=lambda p: (key[p[0]], key[p[1]])):
+        lines.append(f"  {node[J]} -> {node[J2]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def write_strata(fam: StratifiedFamily, outdir: str | Path) -> None:
-    """Lattice listing: numbered stratum files, an index, and the poset DOT."""
+    """Lattice listing: numbered stratum files, an index, and the poset DOT.
+
+    The strata share their vertex ids and labels, so each id and label is
+    encoded once for the whole family.
+    """
+    vertices: dict[str, str] = {}
+    labels: dict[Monomial, str] = {}
     with _staged_dir(outdir) as tmp:
         strata = []
         for i, J in enumerate(fam.subsets()):
-            stratum = fam.strata[J]
             fname = f"stratum_{i:02d}.graph"
-            (tmp / fname).write_text(serialize_graph(stratum.graph))
+            with open(os.path.join(tmp, fname), "w") as f:
+                f.write(_graph_text(fam.strata[J].graph, vertices, labels))
             generators = _list([_quote(g) for g in sorted(J)], 3)
             strata.append(_object([("generators", generators), ("file", _quote(fname))], 2))
-        (tmp / "poset.dot").write_text(strata_poset_dot(fam))
+        with open(os.path.join(tmp, "poset.dot"), "w") as f:
+            f.write(strata_poset_dot(fam))
         index = [
-            ("controlling", _nested(serialize_graph(fam.controlling))),
+            ("controlling", _nested(_graph_text(fam.controlling, vertices, labels))),
             ("strata", _list(strata, 1)),
         ]
         _write_document(tmp / "strata.index", index)

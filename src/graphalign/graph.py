@@ -365,9 +365,8 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
             circuit.append(orig)
     if circuit and circuit[0] == circuit[-1] and len(circuit) > 1:
         circuit.pop()
-    # Rotate so the requested first edge leads.
-    i = circuit.index(e)
-    return circuit[i:] + circuit[:i]
+    # The walk starts with a half of e, so e already leads.
+    return circuit
 
 
 @dataclass(frozen=True)
@@ -480,6 +479,22 @@ def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, 
     return H, GraphMorphism(G, H, vertex_map, edge_map)
 
 
+def _specialisation(
+    G: LabelledGraph, nonunit_gens: Iterable[str]
+) -> tuple[LabelledGraph, tuple, tuple]:
+    """The graph ``specialise`` returns, with the vertex and edge maps of
+    its morphism; no morphism is built or checked."""
+    keep = frozenset(nonunit_gens)
+    unknown = keep - set(G.generators.names)
+    if unknown:
+        raise ValueError(f"unknown generators {sorted(unknown)!r}")
+    dead = [e.id for e in G.edges if not (e.label.support & keep)]
+    vertices, edges, vertex_map, edge_map = _contraction(
+        G, dead, lambda m: m.restrict(keep)
+    )
+    return LabelledGraph(G.generators.restrict(keep), vertices, edges), vertex_map, edge_map
+
+
 def specialise(
     G: LabelledGraph, nonunit_gens: Iterable[str]
 ) -> tuple[LabelledGraph, GraphMorphism]:
@@ -490,17 +505,8 @@ def specialise(
     ``nonunit_gens`` (unit factors at the target) and the generator
     context is restricted accordingly.
     """
-    keep = frozenset(nonunit_gens)
-    unknown = keep - set(G.generators.names)
-    if unknown:
-        raise ValueError(f"unknown generators {sorted(unknown)!r}")
-    dead = [e.id for e in G.edges if not (e.label.support & keep)]
-    vertices, edges, vertex_map, edge_map = _contraction(
-        G, dead, lambda m: m.restrict(keep)
-    )
-    ctx = G.generators.restrict(keep)
-    H = LabelledGraph(ctx, vertices, edges)
-    return H, GraphMorphism(G, H, vertex_map, edge_map, kept_generators=ctx.names)
+    H, vertex_map, edge_map = _specialisation(G, nonunit_gens)
+    return H, GraphMorphism(G, H, vertex_map, edge_map, kept_generators=H.generators.names)
 
 
 def compose(m1: GraphMorphism, m2: GraphMorphism) -> GraphMorphism:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import GraphMorphism, LabelledGraph, specialise
+from .graph import GraphMorphism, LabelledGraph, _specialisation, specialise
 from .labels import GeneratorSet, _is_nc_label
 
 
@@ -57,6 +57,9 @@ def _require_nc(G: LabelledGraph) -> list[str]:
                 f"edge {e.id!r}: normal crossings needs single-generator labels, got {m}"
             )
         g = m.exps[0][0]
+        if not g or "," in g:
+            # Strata are named "{g1,g2,...}", so two would share a name.
+            raise ValueError(f"generator {g!r} cannot name a stratum: it is empty or holds ','")
         if g in seen:
             raise ValueError(
                 f"edges {seen[g]!r} and {e.id!r} share the label {m}; "
@@ -69,8 +72,9 @@ def _require_nc(G: LabelledGraph) -> list[str]:
 def stratify(G: LabelledGraph) -> StratifiedFamily:
     """All strata of the family controlled by G, over its NC base.
 
-    One stratum per subset of the generators appearing on G; the morphisms
-    between strata are built on demand by ``specialisation_map``.
+    One stratum per subset of the generators appearing on G, each the graph
+    ``specialise`` gives; the morphisms between strata are built and checked
+    on demand by ``specialisation_map``.
     """
     support = _require_nc(G)
     top = frozenset(support)
@@ -80,7 +84,7 @@ def stratify(G: LabelledGraph) -> StratifiedFamily:
             J = frozenset(combo)
             # The most special stratum is the controlling graph itself,
             # including generators no label uses.
-            strata[J] = Stratum(J, G if J == top else specialise(G, J)[0])
+            strata[J] = Stratum(J, G if J == top else _specialisation(G, J)[0])
     return StratifiedFamily(G.generators, G, strata)
 
 
@@ -121,7 +125,7 @@ def verify_controlling(fam: StratifiedFamily) -> ControllingReport:
     contracts no edge (an isomorphism on the underlying graph).  The
     canonical candidate is the set of generators actually labelling the
     stratum; the only other one tried is J itself, whose map is the
-    identity.
+    identity and is accepted without being built.
 
     On every family that ``stratify`` builds the check passes by
     construction, and the witness is always the first candidate: each
@@ -138,7 +142,7 @@ def verify_controlling(fam: StratifiedFamily) -> ControllingReport:
         )
         found: Optional[frozenset[str]] = None
         for J2 in (used, J):
-            if J2 <= J and not specialisation_map(fam, J, J2).contracted_edges:
+            if J2 == J or (J2 <= J and not specialisation_map(fam, J, J2).contracted_edges):
                 found = J2
                 break
         if found is None:

@@ -62,15 +62,20 @@ def canonical_shapes(max_vertices=4, max_edges=5) -> list[tuple[tuple[int, int],
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-def shape_graph(shape, labels: Optional[Sequence[Monomial]] = None) -> LabelledGraph:
-    """The graph of ``shape`` over the generators x, y: edge ``e{i}`` joins
-    ``v{a}`` and ``v{b}`` for the i-th pair (a, b) and carries ``labels[i]``
-    (``x`` on every edge when no labels are given)."""
+def shape_graph(
+    shape,
+    labels: Optional[Sequence[Monomial]] = None,
+    base: GeneratorSet = GeneratorSet(("x", "y")),
+) -> LabelledGraph:
+    """The graph of ``shape`` over ``base`` (the generators x, y unless
+    given): edge ``e{i}`` joins ``v{a}`` and ``v{b}`` for the i-th pair
+    (a, b) and carries ``labels[i]`` (``x`` on every edge when no labels
+    are given)."""
     used = sorted({v for pair in shape for v in pair})
     if labels is None:
         labels = [Monomial.from_dict({"x": 1})] * len(shape)
     return LabelledGraph.build(
-        GeneratorSet(("x", "y")),
+        base,
         [f"v{v}" for v in used],
         [(f"e{i}", f"v{a}", f"v{b}", labels[i]) for i, (a, b) in enumerate(shape)],
     )

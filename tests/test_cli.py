@@ -271,6 +271,27 @@ class TestStrataCommand:
     def test_non_nc_rejected(self, capsys):
         assert run(["strata", str(FIXTURES / "mixed6.graph")]) == 2
 
+    @pytest.mark.parametrize(
+        "gens, bad", [(["a", "b", "a,b"], "a,b"), (["", "x"], "")], ids=["comma", "empty"]
+    )
+    def test_generator_that_cannot_tag_a_stratum_refused(self, tmp_path, capsys, gens, bad):
+        # Strata are tagged "{g1,g2,...}": with a, b and "a,b" the strata
+        # {a, b} and {"a,b"} would share the tag "{a,b}", and with "" the
+        # strata {} and {""} would share "{}".
+        edges = [
+            {"id": f"e{i}", "ends": ["u", "v"], "label": {g: 1}} for i, g in enumerate(gens)
+        ]
+        path = tmp_path / "tags.graph"
+        path.write_text(
+            json.dumps({"generators": gens, "nc": True, "vertices": ["u", "v"], "edges": edges})
+        )
+        out_dir = tmp_path / "strata"
+        assert run(["strata", str(path), "--out", str(out_dir)]) == 2
+        out, err = out_of(capsys)
+        assert out == ""
+        assert f"generator {bad!r}" in err
+        assert not out_dir.exists()
+
     def test_threecycle_golden_bytes(self, tmp_path, capsys):
         # The listing, the poset DOT (cover order included) and every file of
         # the --out directory, byte for byte.

@@ -85,8 +85,10 @@ NAMES = st.sampled_from(["\u00e9", 'a"b', "\\", "\u2028", "x", "v1"]) | st.text(
 @st.composite
 def named_graphs(draw, max_edges=6, nc_labels=False):
     """Graphs named from NAMES; with ``nc_labels`` the base is NC and the
-    labels are distinct single generators, as ``stratify`` needs."""
-    gens = draw(st.lists(NAMES, unique=True, max_size=3))
+    labels are distinct single generators, as ``stratify`` needs (so their
+    names are non-empty and free of ',')."""
+    names = NAMES.filter(lambda g: g and "," not in g) if nc_labels else NAMES
+    gens = draw(st.lists(names, unique=True, max_size=3))
     vertices = draw(st.lists(NAMES, unique=True, max_size=4))
     if nc_labels:
         max_edges = len(gens)
@@ -493,6 +495,23 @@ class TestDirectoryOracle:
         fam = stratify(load_graph(FIXTURES / f"{name}.graph"))
         write_strata(fam, tmp_path / "out")
         assert_same_files(tmp_path / "out", strata_files_oracle(fam))
+
+    def test_strata_cover_order_on_ten_generators(self, tmp_path):
+        # As strings x10 sorts before x2, so the covers' order must follow
+        # the sorted generator names, not their numbers.
+        gens = tuple(f"x{i}" for i in range(1, 11))
+        G = LabelledGraph.build(
+            GeneratorSet(gens, nc=True),
+            [f"v{i}" for i in range(10)],
+            [(f"e{i}", f"v{i}", f"v{(i + 1) % 10}", Monomial.generator(g))
+             for i, g in enumerate(gens)],
+        )
+        fam = stratify(G)
+        assert len(fam.strata) == 1024
+        expected = strata_files_oracle(fam)
+        assert strata_poset_dot(fam) == expected["poset.dot"]
+        write_strata(fam, tmp_path / "out")
+        assert_same_files(tmp_path / "out", expected)
 
     @settings(max_examples=40, deadline=None)
     @given(named_graphs(nc_labels=True))

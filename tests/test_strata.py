@@ -1,20 +1,25 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from graphalign import (
     GeneratorSet,
+    GraphMorphism,
     LabelledGraph,
     Monomial,
     StratifiedFamily,
     Stratum,
     compose,
     specialisation_map,
+    specialise,
     stratify,
     verify_controlling,
 )
+from graphalign.formats import load_graph
 
-from strategies import mono, random_graph, theta, threecycle, twogon
+from conftest import FIXTURES
+from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
 
 
 def single_loop():
@@ -67,6 +72,7 @@ class TestStratify:
         # the most special stratum is the controlling graph, unused
         # generators included
         assert fam.strata[frozenset({"x", "y"})].graph == G
+        assert_strata_are_specialisations(G)
         assert verify_controlling(fam).passed
 
     def test_non_nc_base_rejected(self):
@@ -80,6 +86,43 @@ class TestStratify:
             stratify(twogon(mono(x=1), mono(x=1), nc=True))
         with pytest.raises(ValueError):
             stratify(twogon(mono(x=1), Monomial.unit(), nc=True))
+
+
+def assert_strata_are_specialisations(G):
+    """Each stratum is the graph ``specialise`` gives, whose morphism is
+    built and checked here; the most special one is G itself."""
+    fam = stratify(G)
+    top = frozenset(g for e in G.edges for g in e.label.support)
+    for J, stratum in fam.strata.items():
+        assert stratum.graph == (G if J == top else specialise(G, J)[0])
+
+
+@pytest.mark.parametrize("name", ["twogon", "threecycle", "theta"])
+def test_strata_of_fixtures_are_specialisations(name):
+    assert_strata_are_specialisations(load_graph(FIXTURES / f"{name}.graph"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(max_edges=6))
+def test_strata_of_random_nc_graphs_are_specialisations(G):
+    assert_strata_are_specialisations(nc_relabel(G))
+
+
+def test_stratify_and_verify_controlling_build_no_morphism(monkeypatch):
+    built = []
+    check = GraphMorphism.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(GraphMorphism, "__post_init__", counting_check)
+    for G in [twogon(nc=True), threecycle(nc=True), theta(nc=True), single_loop()]:
+        assert verify_controlling(stratify(G)).passed
+    assert built == []
+    # The count sees the morphisms that specialisation_map builds.
+    specialisation_map(stratify(twogon(nc=True)), {"x", "y"}, {"x"})
+    assert len(built) == 1
 
 
 class TestSpecialisationMap:
