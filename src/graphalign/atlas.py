@@ -17,6 +17,7 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -216,6 +217,12 @@ class ChartPresentation:
     classes: tuple[ChartClass, ...]
     inverted: tuple[Monomial, ...]
 
+    # Kept in ``__dict__``, outside the fields that equality reads.
+    @cached_property
+    def _edge_labels(self) -> dict[str, Monomial]:
+        """The label of every edge in a class of the chart."""
+        return {row.edge: row.label for cls in self.classes for row in cls.rows}
+
     def relations(self) -> list[object]:
         rels: list[object] = []
         for cls in self.classes:
@@ -381,7 +388,7 @@ class Overlap:
         base = self.left_chart
         # An edge outside every class of chart(M) is contracted there, so its
         # label is inverted already.
-        labels = {row.edge: row.label for cls in base.classes for row in cls.rows}
+        labels = base._edge_labels
         inverted = list(base.inverted)
         for e in sorted(self.inverted_edges):
             label = labels.get(e)

@@ -14,6 +14,7 @@ import json
 import os
 import shutil
 import tempfile
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -27,7 +28,7 @@ from .atlas import (
     TorusRelation,
     closed_fibre,
 )
-from .graph import GraphMorphism, LabelledGraph
+from .graph import Edge, GraphMorphism, LabelledGraph
 from .labels import GeneratorSet, Monomial
 from .resolution import ResolutionTrace
 from .strata import StratifiedFamily
@@ -39,27 +40,6 @@ class GraphFormatError(ValueError):
 
 def monomial_to_obj(m: Monomial) -> dict[str, int]:
     return {g: e for g, e in m.exps}
-
-
-def _monomial_from_obj(
-    obj, where: str, interned: dict[tuple[tuple[str, int], ...], Monomial]
-) -> Monomial:
-    """Validate a label object, then return the one ``Monomial`` that
-    ``interned`` holds for its exponents (made and added on first sight)."""
-    if not isinstance(obj, dict):
-        raise GraphFormatError(f"{where}: label must be an object, got {obj!r}")
-    for g, e in obj.items():
-        # bool is a subclass of int, so test the exact type.
-        if type(e) is not int or e < 1:
-            raise GraphFormatError(
-                f"{where}: exponent of {g!r} must be an integer >= 1, got {e!r}"
-            )
-    # Keyed only after validation: True and 1.0 compare equal to 1.
-    exps = tuple(sorted(obj.items()))
-    m = interned.get(exps)
-    if m is None:
-        m = interned[exps] = Monomial(exps)
-    return m
 
 
 def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
@@ -90,27 +70,49 @@ def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
     except ValueError as err:
         raise GraphFormatError(f"{source}: {err}") from err
     edges = []
-    labels: dict[tuple[tuple[str, int], ...], Monomial] = {}
-    for i, rec in enumerate(data["edges"]):
-        where = f"{source}: edges[{i}]"
+    # One Monomial per distinct label, held under its exponent items as
+    # written and as sorted.  Looked up only after validation, since True
+    # and 1.0 compare equal to 1.
+    interned: dict[tuple, Monomial] = {}
+    records = data["edges"]
+    for i, rec in enumerate(records):
+        # Released once its edge is built: the records and the edges are
+        # never all held at once.
+        records[i] = None
         if not isinstance(rec, dict):
-            raise GraphFormatError(f"{where}: must be an object")
+            raise GraphFormatError(f"{source}: edges[{i}]: must be an object")
         for key in ("id", "ends", "label"):
             if key not in rec:
-                raise GraphFormatError(f"{where}: missing field {key!r}")
+                raise GraphFormatError(f"{source}: edges[{i}]: missing field {key!r}")
         ends = rec["ends"]
         if (
             not isinstance(ends, list)
             or len(ends) != 2
-            or not all(isinstance(v, str) for v in ends)
+            or not isinstance(u := ends[0], str)
+            or not isinstance(w := ends[1], str)
         ):
-            raise GraphFormatError(f"{where}: ends must be a pair of vertex ids")
-        if not isinstance(rec["id"], str):
-            raise GraphFormatError(f"{where}: id must be a string, got {rec['id']!r}")
-        label = _monomial_from_obj(rec["label"], where, labels)
-        edges.append((rec["id"], ends[0], ends[1], label))
+            raise GraphFormatError(f"{source}: edges[{i}]: ends must be a pair of vertex ids")
+        eid = rec["id"]
+        if not isinstance(eid, str):
+            raise GraphFormatError(f"{source}: edges[{i}]: id must be a string, got {eid!r}")
+        obj = rec["label"]
+        if not isinstance(obj, dict):
+            raise GraphFormatError(f"{source}: edges[{i}]: label must be an object, got {obj!r}")
+        items = tuple(obj.items())
+        for g, x in items:
+            # bool is a subclass of int, so test the exact type.
+            if type(x) is not int or x < 1:
+                raise GraphFormatError(
+                    f"{source}: edges[{i}]: exponent of {g!r} must be an integer >= 1, got {x!r}"
+                )
+        label = interned.get(items)
+        if label is None:
+            exps = tuple(sorted(items))
+            label = interned[items] = interned.setdefault(exps, Monomial(exps))
+        edges.append(Edge(eid, (u, w) if u <= w else (w, u), label))
+    edges.sort(key=attrgetter("id"))
     try:
-        return LabelledGraph.build(ctx, verts, edges)
+        return LabelledGraph(ctx, tuple(sorted(verts)), tuple(edges))
     except ValueError as err:
         raise GraphFormatError(f"{source}: {err}") from err
 

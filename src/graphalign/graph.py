@@ -8,9 +8,11 @@ of a 2-vertex-connected block of the loop-deleted graph.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, Optional, Sequence
 
 from .labels import GeneratorSet, Monomial
@@ -72,20 +74,20 @@ class LabelledGraph:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate edge ids")
         vset = set(self.vertices)
-        # Labels are shared between edges, so each distinct label's
+        # Labels are shared between edges, so each distinct label object's
         # generators are checked once, at the first edge that carries it.
-        checked: set[Monomial] = set()
+        checked: set[int] = set()
         for e in self.edges:
             for v in e.ends:
                 if v not in vset:
                     raise ValueError(f"edge {e.id!r} references unknown vertex {v!r}")
-            if e.label not in checked:
+            if id(e.label) not in checked:
                 for g, _ in e.label.exps:
                     if g not in self.generators:
                         raise ValueError(
                             f"edge {e.id!r} label uses unknown generator {g!r}"
                         )
-                checked.add(e.label)
+                checked.add(id(e.label))
 
     @classmethod
     def build(
@@ -106,7 +108,7 @@ class LabelledGraph:
         except (KeyError, TypeError):
             raise ValueError(f"unknown edge id {eid!r}") from None
 
-    # Like the memos kept in ``__dict__``, these two live outside the
+    # Like the memos kept in ``__dict__``, these three live outside the
     # fields that equality, hashing and repr read.
     @cached_property
     def edge_ids(self) -> tuple[str, ...]:
@@ -116,102 +118,107 @@ class LabelledGraph:
     def _edge_index(self) -> dict[str, Edge]:
         return {e.id: e for e in self.edges}
 
+    @cached_property
+    def _index(self) -> tuple[list[int], list[int]]:
+        """The positions in ``vertices`` of each edge's lower and upper end,
+        in the order of ``edges``."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        return [pos[e.ends[0]] for e in self.edges], [pos[e.ends[1]] for e in self.edges]
+
     def labels(self) -> dict[str, Monomial]:
         return {e.id: e.label for e in self.edges}
 
 
-def _component_min(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
-    """Map each vertex to the least member of its connected component.
+def _least_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """Map each position 0..n-1 to the least position of its connected component.
 
     Union-find that always links the larger root under the smaller one, so
-    every root is the least member of its set.
+    every root is the least member of its set and every parent lies below
+    its child; one pass in increasing order then flattens every chain.
     """
-    parent = {v: v for v in vertices}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    parent = list(range(n))
     for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {v: find(v) for v in parent}
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    for v in range(n):
+        parent[v] = parent[parent[v]]
+    return parent
 
 
 def connected_components(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
-    comps: dict[str, set[str]] = {}
-    for v, root in _component_min(vertices, pairs).items():
+    pos = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
+    roots = _least_roots(len(pos), ((pos[a], pos[b]) for a, b in pairs))
+    comps: dict[int, set[str]] = {}
+    for v, root in zip(pos, roots):
         comps.setdefault(root, set()).add(v)
     return [frozenset(c) for c in comps.values()]
 
 
 def first_betti(G: LabelledGraph) -> int:
     """|E| - |V| + number of connected components (isolated vertices count)."""
-    comps = connected_components(G.vertices, (e.ends for e in G.edges))
-    return len(G.edges) - len(G.vertices) + len(comps)
+    lo, hi = G._index
+    roots = _least_roots(len(G.vertices), zip(lo, hi))
+    return len(G.edges) - len(G.vertices) + sum(v == r for v, r in enumerate(roots))
 
 
-def _blocks(vertices: Sequence[str], nonloop: Sequence[Edge]) -> list[frozenset[str]]:
-    """Edge sets of the biconnected blocks of a loopless multigraph.
+def _blocks(n: int, lo: Sequence[int], hi: Sequence[int]) -> list[list[int]]:
+    """Edge positions of the biconnected blocks of a multigraph on vertex
+    positions 0..n-1 with its loops deleted, edge i joining lo[i] and hi[i].
 
-    Iterative lowpoint computation; parallel edges are distinguished by id,
-    so a doubled edge already forms a block of its own.
+    Iterative lowpoint computation; parallel edges are distinguished by
+    position, so a doubled edge already forms a block of its own.
     """
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for e in nonloop:
-        u, v = e.ends
-        adj.setdefault(u, []).append((e.id, v))
-        adj.setdefault(v, []).append((e.id, u))
-    for v in adj:
-        adj[v].sort()
-
-    disc: dict[str, int] = {}
-    low: dict[str, int] = {}
-    seen_edge: set[str] = set()
-    estack: list[str] = []
-    blocks: list[frozenset[str]] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, (a, b) in enumerate(zip(lo, hi)):
+        if a != b:
+            adj[a].append(i)
+            adj[b].append(i)
+    # v ^ across[i] is the end of edge i opposite v.
+    across = [a ^ b for a, b in zip(lo, hi)]
+    disc = [0] * n  # discovery time from 1; 0 while unreached
+    low = [0] * n
+    used = bytearray(len(lo))
+    estack: list[int] = []
+    blocks: list[list[int]] = []
     clock = 0
-
-    for root in sorted(adj):
-        if root in disc:
+    for root in range(n):
+        if disc[root] or not adj[root]:
             continue
-        disc[root] = low[root] = clock
         clock += 1
-        frames: list[tuple[str, Optional[str], Iterable]] = [
-            (root, None, iter(adj[root]))
-        ]
+        disc[root] = low[root] = clock
+        # (vertex, length of estack below its tree edge, unscanned edges)
+        frames = [(root, 0, iter(adj[root]))]
         while frames:
-            v, in_edge, it = frames[-1]
-            descended = False
-            for eid, w in it:
-                if eid in seen_edge:
+            v, mark, it = frames[-1]
+            for i in it:
+                if used[i]:
                     continue
-                seen_edge.add(eid)
-                estack.append(eid)
-                if w not in disc:
-                    disc[w] = low[w] = clock
+                used[i] = 1
+                w = v ^ across[i]
+                if not disc[w]:
+                    frames.append((w, len(estack), iter(adj[w])))
+                    estack.append(i)
                     clock += 1
-                    frames.append((w, eid, iter(adj[w])))
-                    descended = True
+                    disc[w] = low[w] = clock
                     break
-                low[v] = min(low[v], disc[w])
-            if descended:
-                continue
-            frames.pop()
-            if frames:
-                u = frames[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    block = []
-                    while True:
-                        eid = estack.pop()
-                        block.append(eid)
-                        if eid == in_edge:
-                            break
-                    blocks.append(frozenset(block))
+                estack.append(i)
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u]:
+                        blocks.append(estack[mark:])
+                        del estack[mark:]
     return blocks
 
 
@@ -226,90 +233,82 @@ def circuit_partition(G: LabelledGraph) -> EdgePartition:
     """
     found = G.__dict__.get("_circuit_partition")
     if found is None:
-        classes = [frozenset([e.id]) for e in G.edges if e.is_loop]
-        classes.extend(_blocks(G.vertices, [e for e in G.edges if not e.is_loop]))
-        found = G.__dict__["_circuit_partition"] = tuple(sorted(classes, key=min))
+        lo, hi = G._index
+        classes = [[i] for i, (a, b) in enumerate(zip(lo, hi)) if a == b]
+        classes += _blocks(len(G.vertices), lo, hi)
+        # Positions follow the sorted ids, so the least position is the least id.
+        classes.sort(key=min)
+        name = [e.id for e in G.edges].__getitem__
+        found = G.__dict__["_circuit_partition"] = tuple(
+            frozenset(map(name, c)) for c in classes
+        )
     return found
 
 
-def _two_disjoint_paths(adj, src, dst) -> list[list[tuple]]:
-    """Two internally vertex-disjoint paths src -> dst, as (edge, vertex) steps.
+def _two_disjoint_paths(
+    adj: Sequence[Sequence[int]], end: Sequence[int], src: int, dst: int
+) -> list[list[int]]:
+    """Two internally vertex-disjoint paths src -> dst, as lists of arcs;
+    src has exactly two arcs, and the paths start with them in order.
 
+    Arc a leaves vertex ``end[a]`` and enters ``end[a ^ 1]``; ``adj[v]``
+    lists the arcs leaving v in the order the search scans them.
     Unit-capacity augmenting paths on the vertex-split network; two
     augmentations always succeed here because the callers only ask inside
-    a 2-vertex-connected block.  Each augmentation is one breadth-first
-    search that reads a node's backward arcs from the list of arcs into
-    that node, so it costs O(V + E) on the block (Edmonds-Karp with an
-    indexed residual network).
+    a 2-vertex-connected block.  Node 2v is v's in-node and 2v + 1 its
+    out-node, joined by the inner arc ``len(end) + v``; src and dst are not
+    split and are node 2v alone.  Each augmentation is one breadth-first
+    search that scans a node's forward arcs, then the arcs into it that
+    carry flow in the order they first did, so it costs O(V + E).
     """
-    # Nodes are (v, "in") / (v, "out"); src and dst are not split.
-    flow: dict[tuple, int] = {}
-    # Arcs by head node, each recorded when it first carries flow: the
-    # candidates for the node's residual (backward) arcs, in the order of
-    # ``flow``.
-    into: dict[tuple, list[tuple]] = {}
-
-    def residual_neighbours(node):
-        kind = node[1]
-        if kind == "out":
-            v = node[0]
-            for eid, w in adj[v]:
-                tgt = (w, "in") if w not in (src, dst) else (w, "io")
-                if flow.get((node, tgt, eid), 0) < 1:
-                    yield tgt, (node, tgt, eid), 1
-        if kind == "in":
-            v = node[0]
-            if flow.get(((v, "in"), (v, "out"), ""), 0) < 1:
-                yield (v, "out"), ((v, "in"), (v, "out"), ""), 1
-        if kind == "io":
-            v = node[0]
-            if v == src:
-                for eid, w in adj[v]:
-                    tgt = (w, "in") if w not in (src, dst) else (w, "io")
-                    if flow.get((node, tgt, eid), 0) < 1:
-                        yield tgt, (node, tgt, eid), 1
-        # Residual (backward) arcs.
-        for arc in into.get(node, ()):
-            if flow[arc] > 0:
-                yield arc[0], arc, -1
-
-    source, sink = (src, "io"), (dst, "io")
+    inner = len(end)
+    flow = bytearray(inner + len(adj))
+    into: dict[int, list[int]] = {}  # node -> arcs into it that have carried flow
+    source, sink = 2 * src, 2 * dst
     for _ in range(2):
-        prev: dict[tuple, tuple] = {source: None}
+        prev: dict[int, Optional[tuple[int, int, int]]] = {source: None}
         queue = deque([source])
         while queue:
             node = queue.popleft()
             if node == sink:
                 break
-            for tgt, arc, direction in residual_neighbours(node):
-                if tgt not in prev:
-                    prev[tgt] = (node, arc, direction)
-                    queue.append(tgt)
+            v = node >> 1
+            if node & 1 or v == src:
+                for a in adj[v]:
+                    if not flow[a]:
+                        t = 2 * end[a ^ 1]
+                        if t not in prev:
+                            prev[t] = (node, a, 1)
+                            queue.append(t)
+            elif v != dst and not flow[inner + v] and node + 1 not in prev:
+                prev[node + 1] = (node, inner + v, 1)
+                queue.append(node + 1)
+            for a in into.get(node, ()):
+                if flow[a]:
+                    # Back to the arc's tail: an in-node, src or an out-node.
+                    t = 2 * (a - inner) if a >= inner else 2 * end[a] + (end[a] != src)
+                    if t not in prev:
+                        prev[t] = (node, a, -1)
+                        queue.append(t)
         if sink not in prev:
             raise WitnessNotFoundError("no two disjoint paths found")
         node = sink
-        while prev[node] is not None:
-            parent, arc, direction = prev[node]
-            if arc not in flow:
-                into.setdefault(arc[1], []).append(arc)
-            flow[arc] = flow.get(arc, 0) + direction
+        while (step := prev[node]) is not None:
+            parent, a, direction = step
+            if direction > 0:
+                into.setdefault(node, []).append(a)
+            flow[a] = direction > 0
             node = parent
 
-    # Decompose the flow into two edge paths from src to dst.
-    out_arcs: dict[str, list[tuple[str, str]]] = {}
-    for (a, b, eid), used in flow.items():
-        if used > 0 and eid:
-            out_arcs.setdefault(a[0], []).append((eid, b[0]))
-    for v in out_arcs:
-        out_arcs[v].sort(key=repr)
+    # Every other vertex on a path has one unit of capacity, so one arc of
+    # the flow leaves it.
+    leaving = {end[a]: a for arcs in into.values() for a in arcs if a < inner and flow[a]}
     paths = []
-    for _ in range(2):
-        path = []
-        v = src
-        while v != dst:
-            eid, w = out_arcs[v].pop(0)
-            path.append((eid, w))
-            v = w
+    for a in adj[src]:
+        path = [a]
+        while (v := end[a ^ 1]) != dst:
+            a = leaving[v]
+            path.append(a)
         paths.append(path)
     return paths
 
@@ -320,47 +319,63 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
 
     Raises WitnessNotFoundError when the edges lie in different classes of
     the circuit partition.  Implemented by subdividing both edges and
-    finding two vertex-disjoint paths between the subdivision points.
+    finding two vertex-disjoint paths between the subdivision points, on
+    the class's network kept on G.
     """
     if e == f:
         raise ValueError("the two edges must be distinct")
     part = circuit_partition(G)
-    cls = next((c for c in part if e in c), None)
-    if cls is None:
+    k = next((k for k, c in enumerate(part) if e in c), None)
+    if k is None:
         raise ValueError(f"unknown edge id {e!r}")
-    if f not in cls:
+    if f not in part[k]:
         G.edge(f)  # an unknown id is refused as such
         raise WitnessNotFoundError(
             f"edges {e!r} and {f!r} lie in different circuit classes"
         )
+    networks = G.__dict__.setdefault("_flow_networks", {})
+    if k not in networks:
+        # Class edge j (ids in repr order) joins its lower and upper end,
+        # local vertices end[2j] and end[2j + 1]: arc 2j runs upwards along
+        # it and arc 2j + 1 back, so each vertex lists its arcs by the repr
+        # of their edge ids, the order of the search.  Arrays keep the memo
+        # free of one int object per arc.
+        lo, hi = G._index
+        cls = part[k]
+        edges = [(e.id, a, b) for e, a, b in zip(G.edges, lo, hi) if e.id in cls]
+        edges.sort(key=lambda t: repr(t[0]))
+        ids = [eid for eid, _, _ in edges]
+        local: dict[int, int] = {}
+        end = array("i", [local.setdefault(v, len(local)) for _, a, b in edges for v in (a, b)])
+        adj = [array("i") for _ in local]
+        for a, v in enumerate(end):
+            adj[v].append(a)
+        networks[k] = ids, end, adj
+    ids, end, adj = networks[k]
 
-    block = [x for x in G.edges if x.id in cls]
-    # Tuple sentinels cannot collide with real (string) vertex or edge ids.
-    mid = {e: ("~", e), f: ("~", f)}
-    adj: dict = {}
+    # Subdivide e and f at new vertices m: for an edge from u up to w, the
+    # half-a arcs u -> m, m -> u and the half-b arcs m -> w, w -> m.  The
+    # halves come after every whole edge at u and w, ordered by ("half-a"
+    # or "half-b", repr of the id).  That arc order decides which circuit
+    # is found, and tests/golden/witnesses.json pins it.
+    gone = [2 * ids.index(x) + i for x in (e, f) for i in (0, 1)]
+    end, adj = end[:], adj[:]
+    halves: dict[int, list[tuple[str, str, int]]] = {}
+    for j in gone[::2]:
+        u, w, m, a = end[j], end[j + 1], len(adj), len(end)
+        end.extend((u, m, m, w))
+        adj.append([a + 1, a + 2])
+        halves.setdefault(u, []).append(("half-a", repr(ids[j >> 1]), a))
+        halves.setdefault(w, []).append(("half-b", repr(ids[j >> 1]), a + 3))
+    for v, extra in halves.items():
+        adj[v] = [a for a in adj[v] if a not in gone] + [a for *_, a in sorted(extra)]
 
-    def add(u, eid, v):
-        adj.setdefault(u, []).append((eid, v))
-        adj.setdefault(v, []).append((eid, u))
-
-    for edge in block:
-        u, v = edge.ends
-        if edge.id in mid:
-            m = mid[edge.id]
-            add(u, ("half-a", edge.id), m)
-            add(m, ("half-b", edge.id), v)
-        else:
-            add(u, edge.id, v)
-    for v in adj:
-        adj[v].sort(key=repr)
-
-    paths = _two_disjoint_paths(adj, mid[e], mid[f])
-    forward, backward = paths[0], paths[1]
-    walk = [step[0] for step in forward] + [step[0] for step in reversed(backward)]
-    # Collapse the subdivision halves back onto the original edge ids.
+    forward, backward = _two_disjoint_paths(adj, end, len(adj) - 2, len(adj) - 1)
+    # Arc a runs along class edge a >> 1, or along a half of e or of f.
+    names = ids + [e, e, f, f]
     circuit: list[str] = []
-    for eid in walk:
-        orig = eid[1] if isinstance(eid, tuple) else eid
+    for a in forward + backward[::-1]:
+        orig = names[a >> 1]
         if not circuit or circuit[-1] != orig:
             circuit.append(orig)
     if circuit and circuit[0] == circuit[-1] and len(circuit) > 1:
@@ -386,28 +401,32 @@ class GraphMorphism:
     def __post_init__(self) -> None:
         vm = dict(self.vertex_map)
         em = dict(self.edge_map)
-        if set(vm) != set(self.source.vertices):
+        for pairs, found, what in ((self.vertex_map, vm, "vertex"), (self.edge_map, em, "edge")):
+            if len(found) != len(pairs):
+                twice = next(x for x, n in Counter(x for x, _ in pairs).items() if n > 1)
+                raise ValueError(f"{what} map lists {twice!r} twice")
+        if vm.keys() != set(self.source.vertices):
             raise ValueError("vertex map must be total on the source")
-        if set(em) != set(self.source.edge_ids):
+        if em.keys() != set(self.source.edge_ids):
             raise ValueError("edge map must be total on the source")
         tverts = set(self.target.vertices)
         for v, w in vm.items():
             if w not in tverts:
                 raise ValueError(f"vertex image {w!r} missing from target")
-        tedges = {e.id: e for e in self.target.edges}
+        tedges = self.target._edge_index
         for e in self.source.edges:
             kind, tid = em[e.id]
-            u, v = e.ends
+            u, v = vm[e.ends[0]], vm[e.ends[1]]
             if kind == "edge":
                 te = tedges.get(tid)
                 if te is None:
                     raise ValueError(f"unknown edge id {tid!r}")
-                if {vm[u], vm[v]} != set(te.ends):
+                if ((u, v) if u <= v else (v, u)) != te.ends:
                     raise ValueError(f"edge {e.id!r}: endpoints do not commute")
                 if self.transform_label(e.label) != te.label:
                     raise ValueError(f"edge {e.id!r}: labels do not match")
             elif kind == "vertex":
-                if vm[u] != tid or vm[v] != tid:
+                if u != tid or v != tid:
                     raise ValueError(
                         f"contracted edge {e.id!r} must map onto its endpoint image"
                     )
@@ -446,26 +465,35 @@ def _contraction(
     G: LabelledGraph, edge_ids: Iterable[str], label: Callable[[Monomial], Monomial]
 ) -> tuple[tuple[str, ...], tuple[Edge, ...], tuple, tuple]:
     """Vertices, relabelled edges, vertex map and edge map of G with the given
-    edges contracted, as ``contract`` describes; the edges keep their order.
+    edges contracted, as ``contract`` describes; the edges keep their order,
+    and an edge whose ends and label do not change keeps its object.
     """
     to_remove = set(edge_ids)
-    unknown = to_remove - set(G.edge_ids)
+    unknown = {e for e in to_remove if e not in G._edge_index}
     if unknown:
         raise ValueError(f"unknown edge ids {sorted(unknown)!r}")
 
-    rep = _component_min(G.vertices, (e.ends for e in G.edges if e.id in to_remove))
-    vertices = tuple(sorted(set(rep.values())))
-    edges = tuple(
-        _edge(e.id, rep[e.ends[0]], rep[e.ends[1]], label(e.label))
-        for e in G.edges
-        if e.id not in to_remove
-    )
-    vertex_map = tuple((v, rep[v]) for v in G.vertices)
+    lo, hi = G._index
+    dead = bytes(map(to_remove.__contains__, G.edge_ids))
+    roots = _least_roots(len(G.vertices), compress(zip(lo, hi), dead))
+    names = G.vertices
+    vertices = tuple(v for i, v in enumerate(names) if roots[i] == i)
+    edges = []
+    for e, a, b, gone in zip(G.edges, lo, hi, dead):
+        if gone:
+            continue
+        ra, rb, m = roots[a], roots[b], label(e.label)
+        if ra == a and rb == b and m is e.label:
+            edges.append(e)
+        else:
+            ends = (names[ra], names[rb]) if ra <= rb else (names[rb], names[ra])
+            edges.append(Edge(e.id, ends, m))
+    vertex_map = tuple(zip(names, [names[r] for r in roots]))
     edge_map = tuple(
-        (e.id, ("vertex", rep[e.ends[0]]) if e.id in to_remove else ("edge", e.id))
-        for e in G.edges
+        (e.id, ("vertex", names[roots[a]]) if gone else ("edge", e.id))
+        for e, a, gone in zip(G.edges, lo, dead)
     )
-    return vertices, edges, vertex_map, edge_map
+    return vertices, tuple(edges), vertex_map, edge_map
 
 
 def contract(G: LabelledGraph, edge_ids: Iterable[str]) -> tuple[LabelledGraph, GraphMorphism]:

@@ -229,6 +229,81 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError, match="missing field"):
             parse_graph('{"generators": [], "nc": false, "vertices": []}')
 
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([["e", "a", "b"]], "edges[0]: must be an object"),
+            ([{}], "edges[0]: missing field 'id'"),
+            ([{"label": {}, "ends": ["a", "b"]}], "edges[0]: missing field 'id'"),
+            ([{"id": "e"}], "edges[0]: missing field 'ends'"),
+            ([{"id": "e", "label": {}}], "edges[0]: missing field 'ends'"),
+            ([{"id": "e", "ends": ["a", "b"]}], "edges[0]: missing field 'label'"),
+            ([{"id": 7, "ends": ["a"], "label": 1}], "edges[0]: ends must be a pair of vertex ids"),
+            ([{"id": 7, "ends": "ab", "label": {}}], "edges[0]: ends must be a pair of vertex ids"),
+            ([{"id": 7, "ends": ["a", "b", "a"], "label": {}}], "edges[0]: ends must be a pair of vertex ids"),
+            ([{"id": 7, "ends": ["a", 2], "label": {}}], "edges[0]: ends must be a pair of vertex ids"),
+            ([{"id": 7, "ends": ["a", "b"], "label": [1]}], "edges[0]: id must be a string, got 7"),
+            ([{"id": "e", "ends": ["a", "b"], "label": [1]}], "edges[0]: label must be an object, got [1]"),
+            ([{"id": "e", "ends": ["a", "b"], "label": None}], "edges[0]: label must be an object, got None"),
+            (
+                [{"id": "e", "ends": ["a", "b"], "label": {"x": 1, "y": 0}}],
+                "edges[0]: exponent of 'y' must be an integer >= 1, got 0",
+            ),
+            (
+                [{"id": "e", "ends": ["a", "b"], "label": {"x": -1, "y": 1.5}}],
+                "edges[0]: exponent of 'x' must be an integer >= 1, got -1",
+            ),
+            (
+                [
+                    {"id": "e", "ends": ["a", "b"], "label": {"x": 1}},
+                    {"id": 7, "ends": ["a", "b"], "label": {"x": 1}},
+                    "f",
+                    {"id": "g", "ends": ["a", "b"], "label": {"x": 0}},
+                ],
+                "edges[1]: id must be a string, got 7",
+            ),
+            (
+                [
+                    {"id": "e", "ends": ["a", "b"], "label": {"x": 1}},
+                    {"id": "f", "ends": ["a", "b"], "label": {"x": True}},
+                    {"id": "g"},
+                ],
+                "edges[1]: exponent of 'x' must be an integer >= 1, got True",
+            ),
+            (
+                [{"id": "e", "ends": ["a", "q"], "label": {"q": 1}}, {"id": "f"}],
+                "edges[1]: missing field 'ends'",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "missing-all",
+            "missing-id",
+            "missing-ends-and-label",
+            "missing-ends",
+            "missing-label",
+            "short-ends-before-bad-id",
+            "string-ends-before-bad-id",
+            "long-ends-before-bad-id",
+            "non-string-end-before-bad-id",
+            "bad-id-before-bad-label",
+            "list-label",
+            "null-label",
+            "zero-exponent",
+            "first-bad-exponent",
+            "first-offending-edge",
+            "first-offending-edge-after-equal-label",
+            "edge-checks-before-graph-checks",
+        ],
+    )
+    def test_edge_error_messages_and_precedence(self, edges, message):
+        text = json.dumps(
+            {"generators": ["x", "y"], "nc": False, "vertices": ["a", "b"], "edges": edges}
+        )
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text, source="g")
+        assert str(err.value) == f"g: {message}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(GraphFormatError):
             load_graph(tmp_path / "nope.graph")

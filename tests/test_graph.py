@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalign import (
     GeneratorSet,
@@ -22,7 +23,7 @@ from graphalign.graph import Edge
 
 from conftest import FIXTURES
 from oracles import brute_circuit_partition, enumerate_2vc_subgraphs, witness_failures
-from strategies import labelled_graphs, mono, theta, threecycle, twogon
+from strategies import chained_blocks, labelled_graphs, mono, theta, threecycle, twogon
 
 
 def path_plus_loop():
@@ -143,6 +144,28 @@ class TestCircuitWitness:
         for e, f, circuit in entry["witnesses"]:
             assert circuit_witness(G, e, f) == circuit
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(labelled_graphs(max_edges=8), chained_blocks(max_edges=9)), st.randoms())
+    def test_warm_network_gives_the_fresh_witness(self, G, rnd):
+        # The class networks are kept on G, so each call after the first in
+        # a class runs on a warm memo; a fresh copy of G has none.
+        pairs = [(e, f) for cls in circuit_partition(G) for e in sorted(cls) for f in sorted(cls) if e != f]
+        rnd.shuffle(pairs)
+        for e, f in pairs[:12]:
+            fresh = LabelledGraph(G.generators, G.vertices, G.edges)
+            assert circuit_witness(G, e, f) == circuit_witness(fresh, e, f)
+
+    def test_empty_edge_id(self):
+        # Edge ids are any strings; the empty one is an ordinary edge.
+        G = LabelledGraph.build(
+            GeneratorSet(()),
+            ["a", "b", "c"],
+            [("", "a", "b", Monomial.unit()), ("x", "b", "c", Monomial.unit()), ("y", "a", "c", Monomial.unit())],
+        )
+        assert circuit_witness(G, "x", "y") == ["x", "", "y"]
+        assert circuit_witness(G, "", "x") == ["", "y", "x"]
+        assert witness_failures(G) == (6, [])
+
     def test_long_cycle(self):
         # Each augmenting path costs O(V + E) on the block, so a witness on
         # 20,000 edges is cheap; a quadratic search would take about a minute.
@@ -203,6 +226,15 @@ class TestContract:
         H, _ = contract(threecycle(), ["e1"])
         assert len(H.vertices) == 2
         assert circuit_partition(H) == (frozenset({"e2", "e3"}),)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(labelled_graphs(max_edges=8), chained_blocks(max_edges=9)), st.data())
+    def test_partition_of_contraction_matches_brute_force(self, G, data):
+        # Multigraphs with loops, bridges and parallel edges; the contracted
+        # edges may close cycles and turn edges into loops.
+        zero = data.draw(st.lists(st.sampled_from(G.edge_ids), unique=True) if G.edges else st.just([]))
+        H, _ = contract(G, zero)
+        assert circuit_partition(H) == brute_circuit_partition(H)
 
     def test_unknown_edge(self):
         with pytest.raises(ValueError):
@@ -337,6 +369,27 @@ class TestMorphismValidation:
                 H,
                 (("a", "a"), ("b", "c"), ("c", "c")),
                 (("e1", ("vertex", "a")), ("e2", ("edge", "e2"))),
+            )
+
+    def test_vertex_listed_twice_rejected(self):
+        # A dict of the pairs keeps the last image only, which here commutes.
+        G = twogon()
+        with pytest.raises(ValueError, match=r"^vertex map lists 'v1' twice$"):
+            GraphMorphism(
+                G,
+                G,
+                (("v1", "v2"), ("v1", "v1"), ("v2", "v2")),
+                tuple((e, ("edge", e)) for e in G.edge_ids),
+            )
+
+    def test_edge_listed_twice_rejected(self):
+        G = twogon(mono(x=1), mono(x=1))
+        with pytest.raises(ValueError, match=r"^edge map lists 'e1' twice$"):
+            GraphMorphism(
+                G,
+                G,
+                tuple((v, v) for v in G.vertices),
+                (("e1", ("edge", "e1")), ("e1", ("edge", "e2")), ("e2", ("edge", "e2"))),
             )
 
     def test_edge_image_missing_from_target_rejected(self):

@@ -1,4 +1,4 @@
-"""Runs in a fresh interpreter: the two scripts, a bare package import and the
+"""Runs in a fresh interpreter: the three scripts, a bare package import and the
 benchmark's own tests."""
 
 import os
@@ -40,6 +40,22 @@ def test_oracle_sweep_runs_clean(tmp_path):
 def test_worked_example_runs():
     proc = run_python("scripts/worked_example.py")
     assert proc.returncode == 0, proc.stderr
+
+
+def test_core_timings_runs():
+    proc = run_python("scripts/core_timings.py", "--sizes", "3", "5", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == "| operation | 3×3 grid (12 edges) | 5×5 grid (40 edges) |"
+    assert rule == "| --- | --- | --- |"
+    assert [row.split(" | ")[0] for row in rows] == [
+        "| `build`",
+        "| `contract(G, [])`",
+        "| `specialise`",
+        "| `check_alignment`",
+        "| `circuit_partition`",
+    ]
+    assert all(row.endswith(" s |") for row in rows)
 
 
 def test_package_import_leaves_oracles_unloaded():
