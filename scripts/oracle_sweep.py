@@ -10,7 +10,10 @@ parser on one labelling of every shape, checks every file ``write_atlas``
 writes at bound 1 on that labelling against ``json.dumps`` of the object
 it encodes, checks ``enumerate_thickness`` at bounds 1 and 2 on that
 labelling against the (b+1)^|E| filter that contracts every candidate's
-zero edges afresh, gives every shape a normal-crossings labelling (edge
+zero edges afresh, checks ``trait_factorisation`` and ``trait_separated``
+on that labelling at every valuation with x and y in 0..2 against the
+filter over the whole graph's candidate product and the check of every
+pair of whole functions, gives every shape a normal-crossings labelling (edge
 ``e{i}`` carries its own generator ``g{i}``) and checks every file
 ``write_strata`` writes on it against ``json.dumps`` of the object it
 encodes and every stratum against ``specialise``, which builds and checks
@@ -35,12 +38,15 @@ from pathlib import Path
 from graphalign import (
     GeneratorSet,
     Monomial,
+    Valuation,
     build_atlas,
     circuit_partition,
     enumerate_thickness,
     specialise,
     stratify,
+    trait_factorisation,
 )
+from graphalign.atlas import trait_separated
 from graphalign.formats import parse_graph, serialize_graph, write_atlas, write_strata
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -49,6 +55,8 @@ from oracles import (  # noqa: E402
     atlas_files_oracle,
     brute_circuit_partition,
     brute_thickness,
+    brute_trait,
+    brute_trait_separated,
     canonical_shapes,
     graph_to_obj,
     shape_graph,
@@ -80,7 +88,8 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = texts = atlases = strata_dirs = enumerated = 0
+    mismatches = swept = witnessed = texts = atlases = strata_dirs = enumerated = traits = 0
+    valuations = [Valuation.from_dict({"x": i, "y": j}) for i in range(3) for j in range(3)]
     sweep = AlignmentSweep(alphabet)
 
     for shape in shapes:
@@ -113,6 +122,12 @@ def main(argv=None):
             if enumerate_thickness(G, bound) != brute_thickness(G, bound):
                 print(f"THICKNESS MISMATCH on shape {shape}, bound {bound}")
                 mismatches += 1
+        for v in valuations:
+            traits += 1
+            fact = trait_factorisation(G, v)
+            if fact != brute_trait(G, v) or trait_separated(G, fact) != brute_trait_separated(G, fact):
+                print(f"TRAIT MISMATCH on shape {shape}, valuation {dict(v.values)}")
+                mismatches += 1
         G0 = shape_graph(shape)
         if circuit_partition(G0) != brute_circuit_partition(G0):
             print(f"PARTITION MISMATCH on shape {shape}")
@@ -135,6 +150,7 @@ def main(argv=None):
         f"{witnessed} witnesses checked, {texts} graph texts checked, "
         f"{atlases} atlas directories checked, {strata_dirs} strata directories checked, "
         f"{enumerated} thickness enumerations checked, "
+        f"{traits} trait factorisations checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0

@@ -233,16 +233,21 @@ def circuit_partition(G: LabelledGraph) -> EdgePartition:
     """
     found = G.__dict__.get("_circuit_partition")
     if found is None:
-        lo, hi = G._index
-        classes = [[i] for i, (a, b) in enumerate(zip(lo, hi)) if a == b]
-        classes += _blocks(len(G.vertices), lo, hi)
-        # Positions follow the sorted ids, so the least position is the least id.
-        classes.sort(key=min)
         name = [e.id for e in G.edges].__getitem__
         found = G.__dict__["_circuit_partition"] = tuple(
-            frozenset(map(name, c)) for c in classes
+            frozenset(map(name, c)) for c in _class_positions(G)
         )
     return found
+
+
+def _class_positions(G: LabelledGraph) -> list[list[int]]:
+    """The circuit classes as lists of edge positions, by least position."""
+    lo, hi = G._index
+    classes = [[i] for i, (a, b) in enumerate(zip(lo, hi)) if a == b]
+    classes += _blocks(len(G.vertices), lo, hi)
+    # Positions follow the sorted ids, so the least position is the least id.
+    classes.sort(key=min)
+    return classes
 
 
 def _two_disjoint_paths(
@@ -445,7 +450,12 @@ class GraphMorphism:
     def transform_label(self, m: Monomial) -> Monomial:
         if self.kept_generators is None:
             return m
-        return m.restrict(self.kept_generators)
+        return m.restrict(self._kept)
+
+    # One set per morphism, not one per label; outside equality.
+    @cached_property
+    def _kept(self) -> frozenset[str]:
+        return frozenset(self.kept_generators)
 
     @property
     def contracted_edges(self) -> frozenset[str]:

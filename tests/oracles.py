@@ -5,7 +5,11 @@ under test: circuit classes from every circuit, alignment from every
 2-vertex-connected subgraph and a direct common-root search, thickness
 functions by contracting every candidate afresh, and the text of every
 atlas, trace and strata file as ``json.dumps`` of an object built field by
-field.  The package holds none of this; the script loads it by its path.
+field.  Trait factorisations are filtered over the candidate product of the
+whole graph and their separatedness checked over every pair of whole
+functions; these two share only the zero-pattern classes of the atlas
+module, which the thickness oracles check against fresh contractions.  The
+package holds none of this; the script loads it by its path.
 """
 
 from __future__ import annotations
@@ -26,13 +30,17 @@ from graphalign import (
     ResolutionTrace,
     StratifiedFamily,
     ThicknessFunction,
+    TraitFactorisation,
+    Valuation,
     circuit_partition,
     circuit_witness,
     closed_fibre,
     connected_components,
     contracted_graph,
+    is_thickness_function,
 )
 from graphalign.alignment import _class_verdict
+from graphalign.atlas import _classes, _overlap_positions
 from graphalign.formats import (
     _chart_parts,
     _label,
@@ -312,6 +320,68 @@ def brute_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]:
         if all(math.gcd(*(values[e] for e in cls)) == 1 for cls in contracted_classes(G, M)):
             found.append(M)
     return found
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _edge_valuations(G: LabelledGraph, v: Valuation) -> list[int]:
+    return [v.of(e.label) for e in G.edges]
+
+
+def brute_trait(
+    G: LabelledGraph, v: Valuation, bound: Optional[int] = None
+) -> TraitFactorisation:
+    """``trait_factorisation`` on the whole graph: every vector of the
+    candidate product over all edges is checked for compatibility on G's
+    zero-pattern classes and then through ``is_thickness_function``."""
+    ids = G.edge_ids
+    vals = _edge_valuations(G, v)
+    scales = []
+    canonical = [0] * len(vals)
+    for cls in _classes(G, vals):
+        t = math.gcd(*[vals[i] for i in cls])
+        scales.append((tuple(ids[i] for i in cls), t))
+        for i in cls:
+            canonical[i] = vals[i] // t
+    if bound is None:
+        bound = max(canonical, default=0)
+    elif bound < 0:
+        raise ValueError("bound must be >= 0")
+
+    # Ascending candidates give the vectors in lexicographic order.  An edge
+    # of nonzero valuation only takes divisors of it, so M never vanishes
+    # there and divides the valuation on every class.
+    candidates = [
+        range(bound + 1) if w == 0 else [d for d in _divisors(w) if d <= bound]
+        for w in vals
+    ]
+    valid = []
+    for vec in itertools.product(*candidates):
+        if all(len({vals[i] // vec[i] for i in cls}) == 1 for cls in _classes(G, vec)):
+            M = ThicknessFunction(tuple(zip(ids, vec)))
+            if is_thickness_function(G, M):
+                valid.append(M)
+    return TraitFactorisation(
+        v,
+        ThicknessFunction(tuple(zip(ids, canonical))),
+        tuple(sorted(scales)),
+        bound,
+        tuple(valid),
+    )
+
+
+def brute_trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
+    """``trait_separated`` over every pair of whole functions of
+    fact.all_valid: each overlap, on G, holds only edges of valuation 0."""
+    vals = _edge_valuations(G, fact.valuation)
+    vectors = [M.vector() for M in fact.all_valid]
+    for i, a in enumerate(vectors):
+        for b in vectors[i + 1 :]:
+            if any(vals[k] for k in _overlap_positions(G, a, b)):
+                return False
+    return True
 
 
 def _dump(obj) -> str:

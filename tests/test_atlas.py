@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from graphalign import atlas as atlas_module
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalign import (
     GeneratorSet,
@@ -33,12 +34,47 @@ from graphalign.atlas import (
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
-from oracles import brute_overlap_edges, brute_thickness, contracted_classes
-from strategies import chained_blocks, labelled_graphs, mono, theta, threecycle, twogon
+from oracles import (
+    brute_overlap_edges,
+    brute_thickness,
+    brute_trait,
+    brute_trait_separated,
+    contracted_classes,
+)
+from strategies import (
+    GENS3,
+    chained_blocks,
+    labelled_graphs,
+    mono,
+    random_graph,
+    theta,
+    threecycle,
+    twogon,
+)
 
 
 def tf(G, *values):
     return ThicknessFunction.from_vector(G, values)
+
+
+def chained_threecycles():
+    """Three 3-cycles chained at the cut vertices v2 and v4; cycle j has the
+    edges e{j}, e{j+3} and e{j+6}, so the blocks interleave in id order."""
+    return LabelledGraph.build(
+        GeneratorSet(("x",)),
+        [f"v{i}" for i in range(7)],
+        [
+            (f"e{j + 3 * i}", f"v{2 * j + a}", f"v{2 * j + b}", mono(x=1))
+            for j in range(3)
+            for i, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)])
+        ],
+    )
+
+
+valuations = st.fixed_dictionaries({"x": st.integers(0, 2), "y": st.integers(0, 2)}).map(
+    Valuation.from_dict
+)
+trait_graphs = st.one_of(labelled_graphs(max_edges=7, max_exp=2), chained_blocks(max_edges=8))
 
 
 class TestIsThicknessFunction:
@@ -173,19 +209,9 @@ class TestEnumerateThickness:
         assert [M.vector() for M in found] == list(itertools.product(range(2), repeat=4))
 
     def test_checks_each_block_once(self, monkeypatch):
-        # Three 3-cycles chained at the cut vertices v2 and v4; cycle j has
-        # the edges e{j}, e{j+3} and e{j+6}, so the blocks interleave in id
-        # order.  At bound 2 that is 3 * 3^3 checks, not 3^9.
+        # At bound 2 that is 3 * 3^3 checks, not 3^9.
         x = mono(x=1)
-        G = LabelledGraph.build(
-            GeneratorSet(("x",)),
-            [f"v{i}" for i in range(7)],
-            [
-                (f"e{j + 3 * i}", f"v{2 * j + a}", f"v{2 * j + b}", x)
-                for j in range(3)
-                for i, (a, b) in enumerate([(0, 1), (1, 2), (0, 2)])
-            ],
-        )
+        G = chained_threecycles()
         assert circuit_partition(G) == tuple(
             frozenset({f"e{j}", f"e{j + 3}", f"e{j + 6}"}) for j in range(3)
         )
@@ -485,6 +511,79 @@ class TestTraitFactorisation:
         M, N = tf(G, 1, 1), tf(G, 1, 2)
         assert not trait_separated(G, TraitFactorisation(v, M, (), 2, (M, N)))
         assert trait_separated(G, TraitFactorisation(v, M, (), 2, (M,)))
+
+    def test_separatedness_fails_in_one_class_of_two(self):
+        # The twogon e1, e2 and a loop e3 at v2: two circuit classes.  The
+        # loop's label has valuation 0, so disagreeing there is harmless;
+        # disagreeing on the valued twogon is not.
+        G = LabelledGraph.build(
+            GENS3,
+            ["v1", "v2"],
+            [
+                ("e1", "v1", "v2", mono(x=1)),
+                ("e2", "v1", "v2", mono(y=1)),
+                ("e3", "v2", "v2", mono(z=1)),
+            ],
+        )
+        v = Valuation.from_dict({"x": 1, "y": 1, "z": 0})
+        M, N, P = tf(G, 1, 1, 0), tf(G, 1, 1, 1), tf(G, 1, 2, 1)
+        cases = [((M, N), True), ((M, P), False), ((N, P), False), ((M, N, P), False)]
+        for functions, separated in cases:
+            fact = TraitFactorisation(v, M, (), 2, functions)
+            assert trait_separated(G, fact) is separated
+            assert brute_trait_separated(G, fact) is separated
+
+    @settings(max_examples=80, deadline=None)
+    @given(trait_graphs, valuations, st.sampled_from([None, 0, 1, 2]))
+    def test_factorisation_equals_whole_product(self, G, v, bound):
+        # Equal canonical function, class scales, bound and all_valid.
+        assert trait_factorisation(G, v, bound) == brute_trait(G, v, bound)
+
+    @settings(max_examples=80, deadline=None)
+    @given(trait_graphs, valuations, st.randoms(use_true_random=False))
+    def test_separatedness_equals_every_pair_on_subsets(self, G, v, rng):
+        _subset_verdict(G, v, rng)
+
+    def test_separatedness_on_subsets_reaches_both_verdicts(self):
+        rng = random.Random(5)
+        verdicts = set()
+        for _ in range(300):
+            v = Valuation.from_dict({"x": rng.randint(0, 2), "y": rng.randint(0, 2)})
+            verdicts.add(_subset_verdict(random_graph(rng, max_edges=7), v, rng))
+        assert verdicts == {True, False}
+
+    def test_separatedness_pairs_each_class_once(self, monkeypatch):
+        # Valuation 0 keeps every bound-1 function: 8 per cycle, 8^3 in all.
+        # Separatedness compares 3 * C(8, 2) pairs of per-cycle
+        # restrictions, not C(512, 2) pairs of whole functions.
+        G = chained_threecycles()
+        fact = trait_factorisation(G, Valuation.from_dict({"x": 0}), 1)
+        assert list(fact.all_valid) == enumerate_thickness(G, 1)
+        per_class = [
+            {tuple(m for e, m in M.values if e in cls) for M in fact.all_valid}
+            for cls in circuit_partition(G)
+        ]
+        calls = []
+        pairs = atlas_module._overlap_positions
+
+        def counted(H, a, b):
+            calls.append((a, b))
+            return pairs(H, a, b)
+
+        monkeypatch.setattr(atlas_module, "_overlap_positions", counted)
+        assert trait_separated(G, fact)
+        assert len(calls) == sum(math.comb(len(s), 2) for s in per_class) == 3 * 28
+
+
+def _subset_verdict(G, v, rng):
+    """trait_separated on a random subset of the bound-1 functions, which
+    need not be a product of per-class sets, checked against every pair."""
+    ms = enumerate_thickness(G, 1)
+    chosen = tuple(rng.sample(ms, rng.randint(1, min(len(ms), 12))))
+    fact = TraitFactorisation(v, chosen[0], (), 1, chosen)
+    verdict = trait_separated(G, fact)
+    assert verdict == brute_trait_separated(G, fact)
+    return verdict
 
 
 def _scales(G, M, vals):

@@ -32,7 +32,8 @@ def test_oracle_sweep_runs_clean(tmp_path):
     assert counts == (
         "22 shapes, 208 labelled graphs swept, 20 witnesses checked, "
         "22 graph texts checked, 22 atlas directories checked, "
-        "22 strata directories checked, 44 thickness enumerations checked, 0 mismatches"
+        "22 strata directories checked, 44 thickness enumerations checked, "
+        "198 trait factorisations checked, 0 mismatches"
     )
     assert timing.endswith("s)\n")
 
