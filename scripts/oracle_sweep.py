@@ -11,10 +11,11 @@ writes at bound 1 on that labelling against ``json.dumps`` of the object
 it encodes, checks ``enumerate_thickness`` at bounds 1 and 2 on that
 labelling against the (b+1)^|E| filter that contracts every candidate's
 zero edges afresh, checks ``trait_factorisation`` and ``trait_separated``
-on that labelling at every valuation with x and y in 0..2 against the
-filter over the whole graph's candidate product and the check of every
-pair of whole functions, gives every shape a normal-crossings labelling (edge
-``e{i}`` carries its own generator ``g{i}``) and checks every file
+on that labelling at every valuation with x and y in 0..2, at the
+default bound and at bound 1, against the filter over the whole graph's
+candidate product and the check of every pair of whole functions, gives
+every shape a normal-crossings labelling (edge ``e{i}`` carries its own
+generator ``g{i}``) and checks every file
 ``write_strata`` writes on it against ``json.dumps`` of the object it
 encodes and every stratum against ``specialise``, which builds and checks
 the stratum's morphism, and sweeps every labelling of the structurally
@@ -29,6 +30,7 @@ own path, so it runs from any directory once ``graphalign`` is importable:
 """
 
 import argparse
+import itertools
 import json
 import sys
 import tempfile
@@ -122,11 +124,11 @@ def main(argv=None):
             if enumerate_thickness(G, bound) != brute_thickness(G, bound):
                 print(f"THICKNESS MISMATCH on shape {shape}, bound {bound}")
                 mismatches += 1
-        for v in valuations:
+        for v, bound in itertools.product(valuations, (None, 1)):
             traits += 1
-            fact = trait_factorisation(G, v)
-            if fact != brute_trait(G, v) or trait_separated(G, fact) != brute_trait_separated(G, fact):
-                print(f"TRAIT MISMATCH on shape {shape}, valuation {dict(v.values)}")
+            fact = trait_factorisation(G, v, bound)
+            if fact != brute_trait(G, v, bound) or trait_separated(G, fact) != brute_trait_separated(G, fact):
+                print(f"TRAIT MISMATCH on shape {shape}, valuation {dict(v.values)}, bound {bound}")
                 mismatches += 1
         G0 = shape_graph(shape)
         if circuit_partition(G0) != brute_circuit_partition(G0):

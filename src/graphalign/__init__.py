@@ -19,7 +19,6 @@ from .graph import (
     circuit_partition,
     circuit_witness,
     compose,
-    connected_components,
     contract,
     first_betti,
     specialise,
@@ -42,7 +41,6 @@ from .atlas import (
     build_atlas,
     chart,
     closed_fibre,
-    contracted_graph,
     enumerate_thickness,
     is_thickness_function,
     overlap,

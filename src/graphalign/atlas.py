@@ -66,14 +66,6 @@ def _check_total(G: LabelledGraph, M: ThicknessFunction) -> None:
         raise ValueError("thickness function does not match the graph's edges")
 
 
-def contracted_graph(G: LabelledGraph, M: ThicknessFunction) -> LabelledGraph:
-    """The graph with every M(e) = 0 edge contracted."""
-    _check_total(G, M)
-    zero = [e for e, v in M.values if v == 0]
-    H, _ = contract(G, zero)
-    return H
-
-
 def is_thickness_function(G: LabelledGraph, M: ThicknessFunction) -> bool:
     """Validity: per class of the contracted graph, the values have gcd 1.
 
@@ -488,6 +480,16 @@ def trait_factorisation(
     M with values <= bound compatible with the valuation: on each class of
     the contracted graph the edge valuations are t * M for one integer t.
     With the default bound the canonical function is always a member.
+
+    Every member equals canonical on W1, the edges of nonzero valuation;
+    only the edges of W0, the rest, are searched: sum over classes B of
+    (b+1)^|B & W0| candidates.  Let M be compatible with zero set Z.  A W0
+    edge outside Z has ratio 0 and a W1 edge a ratio >= 1, so every class
+    of G/Z is pure: all of its valuations are 0, or none is.  The W0 edges
+    outside Z thus lie in all-zero components of the cycle matroid of G/Z,
+    and contracting them reaches G/W0 with every other component unchanged,
+    since contraction commutes with a direct sum.  So the W1 classes of G/Z
+    are those of G/W0, which give canonical, and gcd 1 forces M = w/t there.
     """
     ids = G.edge_ids
     vals = [v.of(e.label) for e in G.edges]
@@ -503,11 +505,9 @@ def trait_factorisation(
     elif bound < 0:
         raise ValueError("bound must be >= 0")
 
-    # Ascending candidates.  An edge of nonzero valuation only takes divisors
-    # of it, so M never vanishes there and divides the valuation on every class.
     candidates = [
-        range(bound + 1) if w == 0 else [d for d in range(1, min(w, bound) + 1) if w % d == 0]
-        for w in vals
+        range(bound + 1) if w == 0 else [m] if m <= bound else []
+        for w, m in zip(vals, canonical)
     ]
     valued = dict(zip(ids, vals))
 
@@ -531,6 +531,11 @@ def trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
     |S|^2, for a verdict on all n(n-1)/2 pairs.  Exact for any all_valid: a
     pair's overlap is the union of its per-class overlaps, and a class
     where the two agree adds nothing.
+
+    False never comes from trait_factorisation's own output: its members
+    agree on every valued edge, so any class of either side that meets
+    their disagreement set has valuation 0 throughout (the corollary of
+    the lemma in trait_factorisation).
     """
     vals = [fact.valuation.of(e.label) for e in G.edges]
     vectors = [M.vector() for M in fact.all_valid]

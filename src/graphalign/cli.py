@@ -40,8 +40,9 @@ def _bound(text: str) -> int:
 
 
 def _parse_assignments(text: str, flag: str) -> dict[str, int]:
+    """``k=v,...`` as a mapping; the empty string is the empty mapping."""
     out: dict[str, int] = {}
-    for part in text.split(","):
+    for part in text.split(",") if text else ():
         if "=" not in part:
             raise ValueError(f"{flag}: expected k=v pairs, got {part!r}")
         key, _, val = part.partition("=")

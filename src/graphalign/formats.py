@@ -16,7 +16,7 @@ import shutil
 import tempfile
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .alignment import AlignmentReport
 from .atlas import (
@@ -28,7 +28,7 @@ from .atlas import (
     TorusRelation,
     closed_fibre,
 )
-from .graph import Edge, GraphMorphism, LabelledGraph
+from .graph import Edge, LabelledGraph
 from .labels import GeneratorSet, Monomial
 from .resolution import ResolutionTrace
 from .strata import StratifiedFamily
@@ -220,23 +220,11 @@ def _graph_text(
     )
 
 
-def graph_to_dot(
-    G: LabelledGraph,
-    name: str = "G",
-    merged_from: Optional[Mapping[str, Sequence[str]]] = None,
-) -> str:
-    """Undirected DOT with monomial edge labels.
-
-    ``merged_from`` annotates vertices of contracted or specialised graphs
-    with the source ids they absorb.
-    """
+def graph_to_dot(G: LabelledGraph, name: str = "G") -> str:
+    """Undirected DOT with monomial edge labels."""
     lines = [f"graph {_quote(name)} {{"]
     for v in G.vertices:
-        attrs = ""
-        if merged_from and len(merged_from.get(v, ())) > 1:
-            srcs = ",".join(merged_from[v])
-            attrs = f" [label={_quote(f'{v} <- {srcs}')}]"
-        lines.append(f"  {_quote(v)}{attrs};")
+        lines.append(f"  {_quote(v)};")
     for e in G.edges:
         u, w = e.ends
         lines.append(
@@ -245,13 +233,6 @@ def graph_to_dot(
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def morphism_merged_vertices(phi: GraphMorphism) -> dict[str, list[str]]:
-    merged: dict[str, list[str]] = {}
-    for v, w in phi.vertex_map:
-        merged.setdefault(w, []).append(v)
-    return {w: sorted(vs) for w, vs in merged.items()}
 
 
 def alignment_report_to_obj(r: AlignmentReport) -> dict:

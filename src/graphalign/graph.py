@@ -151,15 +151,6 @@ def _least_roots(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     return parent
 
 
-def connected_components(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
-    pos = {v: i for i, v in enumerate(dict.fromkeys(vertices))}
-    roots = _least_roots(len(pos), ((pos[a], pos[b]) for a, b in pairs))
-    comps: dict[int, set[str]] = {}
-    for v, root in zip(pos, roots):
-        comps.setdefault(root, set()).add(v)
-    return [frozenset(c) for c in comps.values()]
-
-
 def first_betti(G: LabelledGraph) -> int:
     """|E| - |V| + number of connected components (isolated vertices count)."""
     lo, hi = G._index

@@ -35,8 +35,7 @@ from graphalign import (
     circuit_partition,
     circuit_witness,
     closed_fibre,
-    connected_components,
-    contracted_graph,
+    contract,
     is_thickness_function,
 )
 from graphalign.alignment import _class_verdict
@@ -150,6 +149,27 @@ def witness_failures(G: LabelledGraph) -> tuple[int, list[tuple[str, str, list[s
             if not is_circuit or w[0] != e or f not in w:
                 failures.append((e, f, w))
     return checked, failures
+
+
+def connected_components(vertices, pairs) -> list[frozenset[str]]:
+    """The vertex sets of the components of the graph on ``vertices`` with
+    an edge per pair, found by depth-first search."""
+    adjacent: dict[str, set[str]] = {v: set() for v in vertices}
+    for a, b in pairs:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    comps, seen = [], set()
+    for v in adjacent:
+        if v not in seen:
+            comp, stack = set(), [v]
+            while stack:
+                u = stack.pop()
+                if u not in comp:
+                    comp.add(u)
+                    stack.extend(adjacent[u] - comp)
+            seen |= comp
+            comps.append(frozenset(comp))
+    return comps
 
 
 def _subset_connected(
@@ -297,7 +317,7 @@ class AlignmentSweep:
 def contracted_classes(G: LabelledGraph, M: ThicknessFunction) -> tuple[frozenset[str], ...]:
     """The circuit classes of G with M's zero edges contracted, computed
     afresh on every call (no zero-pattern cache)."""
-    return circuit_partition(contracted_graph(G, M))
+    return circuit_partition(contract(G, [e for e, m in M.values if m == 0])[0])
 
 
 def brute_overlap_edges(

@@ -540,6 +540,39 @@ class TestTraitFactorisation:
         assert trait_factorisation(G, v, bound) == brute_trait(G, v, bound)
 
     @settings(max_examples=80, deadline=None)
+    @given(
+        trait_graphs,
+        st.fixed_dictionaries({"x": st.integers(0, 12), "y": st.integers(0, 12)}).map(
+            Valuation.from_dict
+        ),
+        st.sampled_from([None, 0, 1, 2]),
+    )
+    def test_members_equal_canonical_on_valued_edges(self, G, v, bound):
+        # The valued-edge lemma and its corollary, separatedness.
+        fact = trait_factorisation(G, v, bound)
+        valued = [i for i, e in enumerate(G.edges) if v.of(e.label)]
+        canonical = fact.canonical.vector()
+        for M in fact.all_valid:
+            assert [M.vector()[i] for i in valued] == [canonical[i] for i in valued]
+        assert trait_separated(G, fact)
+
+    def test_valued_edges_are_not_searched(self, monkeypatch):
+        # Both edges of the twogon are valued, so the one candidate is the
+        # canonical function (1, 1), not the 6 x 6 divisor pairs of 12.
+        calls = {"_classes": 0, "_is_valid": 0}
+        for name in calls:
+            original = getattr(atlas_module, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(atlas_module, name, counted)
+        fact = trait_factorisation(twogon(), Valuation.from_dict({"x": 12, "y": 12}), 12)
+        assert [M.vector() for M in fact.all_valid] == [(1, 1)]
+        assert calls == {"_classes": 3, "_is_valid": 1}
+
+    @settings(max_examples=80, deadline=None)
     @given(trait_graphs, valuations, st.randoms(use_true_random=False))
     def test_separatedness_equals_every_pair_on_subsets(self, G, v, rng):
         _subset_verdict(G, v, rng)

@@ -88,6 +88,11 @@ class TestTrait:
     def test_missing_generator(self, capsys):
         assert run(["trait", TWOGON, "--valuation", "x=4"]) == 2
 
+    def test_empty_valuation_needs_a_graph_without_generators(self, capsys):
+        assert run(["trait", TWOGON, "--valuation", ""]) == 2
+        _, err = out_of(capsys)
+        assert "--valuation is missing generators ['x', 'y']" in err
+
     def test_bad_valuation_syntax(self, capsys):
         assert run(["trait", TWOGON, "--valuation", "x=4,y"]) == 2
 
@@ -235,6 +240,31 @@ class TestVanishing:
         assert run(["atlas", TWOGON, "--max", "1", "--out", str(out_dir), "--vanishing", "y,x"]) == 0
         out, _ = out_of(capsys)
         assert "nonempty fibres at {x,y}: 1" in out
+
+
+@pytest.mark.parametrize(
+    "command, first_line",
+    [("trait", "canonical: 0,0"), ("resolve", "step 0: delta=0, 2 vertices, 2 edges")],
+)
+def test_empty_valuation_on_a_graph_without_generators(tmp_path, capsys, command, first_line):
+    graph = tmp_path / "units.graph"
+    graph.write_text(
+        json.dumps(
+            {
+                "generators": [],
+                "nc": False,
+                "vertices": ["a", "b"],
+                "edges": [
+                    {"id": "e1", "ends": ["a", "b"], "label": {}},
+                    {"id": "e2", "ends": ["a", "b"], "label": {}},
+                ],
+            }
+        )
+    )
+    assert run([command, str(graph), "--valuation", ""]) == 0
+    out, err = out_of(capsys)
+    assert err == ""
+    assert out.splitlines()[0] == first_line
 
 
 class TestResolveCommand:

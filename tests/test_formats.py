@@ -20,7 +20,6 @@ from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
     load_graph,
-    morphism_merged_vertices,
     parse_graph,
     serialize_graph,
     strata_poset_dot,
@@ -29,7 +28,6 @@ from graphalign.formats import (
     write_trace,
 )
 from graphalign.cli import run
-from graphalign.graph import specialise
 
 from conftest import FIXTURES
 from oracles import (
@@ -356,12 +354,6 @@ class TestDot:
         dot = graph_to_dot(twogon(mono(x=2), mono(y=1)))
         assert '"v1" -- "v2"' in dot
         assert "e1: x^2" in dot
-
-    def test_merged_vertex_annotation(self):
-        G = twogon()
-        H, phi = specialise(G, {"x"})
-        dot = graph_to_dot(H, merged_from=morphism_merged_vertices(phi))
-        assert "v1 <- v1,v2" in dot
 
     def test_strata_poset(self):
         fam = stratify(twogon(nc=True))

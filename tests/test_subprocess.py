@@ -9,13 +9,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
+def run_python(*args: str, cwd: Path = ROOT, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -33,9 +33,21 @@ def test_oracle_sweep_runs_clean(tmp_path):
         "22 shapes, 208 labelled graphs swept, 20 witnesses checked, "
         "22 graph texts checked, 22 atlas directories checked, "
         "22 strata directories checked, 44 thickness enumerations checked, "
-        "198 trait factorisations checked, 0 mismatches"
+        "396 trait factorisations checked, 0 mismatches"
     )
     assert timing.endswith("s)\n")
+
+
+def test_trait_with_large_valuation_finishes():
+    # Each wheel edge is valued 60: searching its 12 divisors per edge
+    # would take 12^8 candidates, the fixed values take one.
+    proc = run_python(
+        "-m", "graphalign.cli", "trait", "tests/fixtures/wheel.graph",
+        "--valuation", "x=60", "--max", "60",
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[3:5] == ["  1,1,1,1,1,1,1,1", "separatedness: ok (0 pairs checked)"]
 
 
 def test_worked_example_runs():
