@@ -8,7 +8,8 @@ every ordered pair of edges in one class is an enumerated circuit
 through both, checks the graph writer against ``json.dumps`` and the
 parser on one labelling of every shape, checks every file ``write_atlas``
 writes at bound 1 on that labelling against ``json.dumps`` of the object
-it encodes, checks ``enumerate_thickness`` at bounds 1 and 2 on that
+it encodes and every overlap's inverted edges against the classes of
+fresh contractions, checks ``enumerate_thickness`` at bounds 1 and 2 on that
 labelling against the (b+1)^|E| filter that contracts every candidate's
 zero edges afresh, checks ``trait_factorisation`` and ``trait_separated``
 on that labelling at every valuation with x and y in 0..2, at the
@@ -56,10 +57,12 @@ from oracles import (  # noqa: E402
     AlignmentSweep,
     atlas_files_oracle,
     brute_circuit_partition,
+    brute_overlap_edges,
     brute_thickness,
     brute_trait,
     brute_trait_separated,
     canonical_shapes,
+    contracted_classes,
     graph_to_obj,
     shape_graph,
     strata_files_oracle,
@@ -90,7 +93,8 @@ def main(argv=None):
 
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
-    mismatches = swept = witnessed = texts = atlases = strata_dirs = enumerated = traits = 0
+    mismatches = swept = witnessed = texts = atlases = overlaps = 0
+    strata_dirs = enumerated = traits = 0
     valuations = [Valuation.from_dict({"x": i, "y": j}) for i in range(3) for j in range(3)]
     sweep = AlignmentSweep(alphabet)
 
@@ -108,6 +112,12 @@ def main(argv=None):
         if written(write_atlas, atlas) != atlas_files_oracle(atlas):
             print(f"ATLAS WRITER MISMATCH on shape {shape}")
             mismatches += 1
+        classes = {M: contracted_classes(G, M) for M in atlas.charts}
+        for (M, N), edges in atlas.overlaps.items():
+            overlaps += 1
+            if edges != brute_overlap_edges(M, N, classes[M], classes[N]):
+                print(f"OVERLAP MISMATCH on shape {shape}, functions {M} and {N}")
+                mismatches += 1
         gens = tuple(f"g{i}" for i in range(len(shape)))
         N = shape_graph(shape, [Monomial.generator(g) for g in gens], GeneratorSet(gens, nc=True))
         fam = stratify(N)
@@ -150,7 +160,8 @@ def main(argv=None):
     print(
         f"{len(shapes)} shapes, {swept} labelled graphs swept, "
         f"{witnessed} witnesses checked, {texts} graph texts checked, "
-        f"{atlases} atlas directories checked, {strata_dirs} strata directories checked, "
+        f"{atlases} atlas directories checked, {overlaps} atlas overlaps checked, "
+        f"{strata_dirs} strata directories checked, "
         f"{enumerated} thickness enumerations checked, "
         f"{traits} trait factorisations checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import LabelledGraph, circuit_partition
-from .labels import Monomial, power_equivalent, primitive_root
+from .labels import Monomial, primitive_root
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,16 @@ def is_aligned(G: LabelledGraph) -> bool:
 
 
 def is_irregularly_aligned(G: LabelledGraph) -> bool:
-    """Pairwise power-equivalence within every class.
+    """Pairwise power-equivalence within every class, the same verdict as
+    ``is_aligned`` in the monomial model.
 
-    In the monomial model this coincides with the common-primitive-root
-    test (the factorial case); pairs involving a unit only pass when both
-    labels are units.
+    Power-equivalence is equality of primitive parts, so the labels of a
+    class are pairwise power-equivalent exactly when they share a primitive
+    root; a unit is power-equivalent only to a unit, so a class passes with
+    unit labels only when all of them are units.  Both are the per-class
+    verdicts of ``check_alignment``.
     """
-    by_id = G.labels()
-    for cls in circuit_partition(G):
-        # Power-equivalence is equality of primitive parts, hence transitive:
-        # every pair passes exactly when every label matches the first.
-        a, *rest = [by_id[e] for e in sorted(cls)]
-        for b in rest:
-            if a.is_unit and b.is_unit:
-                continue
-            if a.is_unit or b.is_unit:
-                return False
-            if not power_equivalent(a, b):
-                return False
-    return True
+    return is_aligned(G)
 
 
 def strong_alignment_level(G: LabelledGraph) -> Optional[int]:

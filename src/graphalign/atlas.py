@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graph import LabelledGraph, _class_positions, circuit_partition, contract
 from .labels import GeneratorSet, LaurentMonomial, Monomial, Valuation, _is_nc_label
@@ -37,10 +37,6 @@ class ThicknessFunction:
         for e, v in self.values:
             if v < 0:
                 raise ValueError(f"thickness of {e!r} must be >= 0, got {v}")
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, int]) -> "ThicknessFunction":
-        return cls(tuple(sorted((e, int(v)) for e, v in mapping.items())))
 
     @classmethod
     def from_vector(cls, G: LabelledGraph, vector: Sequence[int]) -> "ThicknessFunction":
@@ -223,6 +219,18 @@ class ChartPresentation:
         """The label of every edge in a class of the chart."""
         return {row.edge: row.label for cls in self.classes for row in cls.rows}
 
+    def inverting(self, edges: Iterable[str]) -> "ChartPresentation":
+        """This chart with the labels of ``edges`` inverted too."""
+        # An edge outside every class of the chart is contracted there, so its
+        # label is inverted already.
+        labels = self._edge_labels
+        inverted = list(self.inverted)
+        for e in sorted(edges):
+            label = labels.get(e)
+            if label is not None and label not in inverted:
+                inverted.append(label)
+        return ChartPresentation(self.base, self.classes, tuple(inverted))
+
     def relations(self) -> list[object]:
         rels: list[object] = []
         for cls in self.classes:
@@ -358,53 +366,39 @@ def overlap(
 ) -> tuple[frozenset[str], ChartPresentation]:
     """The overlap chart: chart(M) with the disagreement labels inverted too."""
     delta = overlap_edges(G, M, N)
-    return delta, Overlap(delta, chart(G, M)).chart
-
-
-@dataclass(frozen=True)
-class Overlap:
-    """The overlap of chart(M) with chart(N), holding chart(M) by reference."""
-
-    inverted_edges: frozenset[str]
-    left_chart: ChartPresentation
-
-    @property
-    def chart(self) -> ChartPresentation:
-        """chart(M) with the labels of inverted_edges inverted too."""
-        base = self.left_chart
-        # An edge outside every class of chart(M) is contracted there, so its
-        # label is inverted already.
-        labels = base._edge_labels
-        inverted = list(base.inverted)
-        for e in sorted(self.inverted_edges):
-            label = labels.get(e)
-            if label is not None and label not in inverted:
-                inverted.append(label)
-        return ChartPresentation(base.base, base.classes, tuple(inverted))
+    return delta, chart(G, M).inverting(delta)
 
 
 @dataclass
 class Atlas:
-    """Charts for every valid thickness function up to the bound, plus overlaps."""
+    """Charts for every valid thickness function up to the bound, plus overlaps.
+
+    ``overlaps`` maps each pair (M, N), M before N, to the edges its overlap
+    inverts, one object per distinct set; the overlap chart is
+    ``charts[M].inverting(overlaps[(M, N)])``.
+    """
 
     graph: LabelledGraph
     bound: int
     charts: dict[ThicknessFunction, ChartPresentation]
-    overlaps: dict[tuple[ThicknessFunction, ThicknessFunction], Overlap]
-
-    @property
-    def thickness_functions(self) -> list[ThicknessFunction]:
-        return list(self.charts)
+    overlaps: dict[tuple[ThicknessFunction, ThicknessFunction], frozenset[str]]
 
 
 def build_atlas(G: LabelledGraph, bound: int) -> Atlas:
-    """Charts in lexicographic order and one overlap per unordered pair."""
+    """Charts in lexicographic order and one overlap per unordered pair.
+
+    The functions come from ``enumerate_thickness`` on G, so they are total
+    on it: the pairs skip the guards of ``overlap_edges``.
+    """
     ms = enumerate_thickness(G, bound)
     charts = {M: chart(G, M) for M in ms}
+    ids = G.edge_ids
+    interned: dict[frozenset[str], frozenset[str]] = {}
     overlaps = {}
-    for i, M in enumerate(ms):
-        for N in ms[i + 1 :]:
-            overlaps[(M, N)] = Overlap(overlap_edges(G, M, N), charts[M])
+    pairs = itertools.combinations([(M, M.vector()) for M in ms], 2)
+    for (M, a), (N, b) in pairs:
+        delta = frozenset(ids[k] for k in _overlap_positions(G, a, b))
+        overlaps[(M, N)] = interned.setdefault(delta, delta)
     return Atlas(G, bound, charts, overlaps)
 
 

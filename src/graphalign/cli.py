@@ -110,7 +110,7 @@ def _cmd_analyze(args) -> int:
         return 0
     if args.format == "json":
         obj = formats.alignment_report_to_obj(report)
-        obj["irregularly_aligned"] = alignment.is_irregularly_aligned(G)
+        obj["irregularly_aligned"] = report.aligned
         obj["strong_level"] = level
         _emit_json(obj)
         return 0
@@ -129,7 +129,7 @@ def _cmd_analyze(args) -> int:
     units = " ".join(report.unit_edges) if report.unit_edges else "none"
     print(f"unit-labelled edges: {units}")
     print(f"aligned: {str(report.aligned).lower()}")
-    print(f"irregularly aligned: {str(alignment.is_irregularly_aligned(G)).lower()}")
+    print(f"irregularly aligned: {str(report.aligned).lower()}")
     print(f"strong alignment level: {'none' if level is None else level}")
     return 0
 

@@ -23,7 +23,6 @@ from .atlas import (
     Atlas,
     BinomialRelation,
     ChartPresentation,
-    Overlap,
     ThicknessFunction,
     TorusRelation,
     closed_fibre,
@@ -346,22 +345,20 @@ def write_atlas(
     by_edges: dict[tuple[int, frozenset[str]], bytes] = {}
     functions: dict[int, tuple[str, str]] = {}
 
-    def write(fname: str, ov: Overlap) -> None:
-        # chart(M) is held by the atlas, so its id names it for the whole
-        # write.  Its overlaps that invert the same edges have one text, and
-        # so have those whose inverted labels come out the same.
-        left = id(ov.left_chart)
-        data = by_edges.get((left, ov.inverted_edges))
+    def write(fname: str, c: ChartPresentation, edges: frozenset[str]) -> None:
+        # c is held by the atlas, so its id names it for the whole write.
+        # Its overlaps that invert the same edges have one text, and so have
+        # those whose inverted labels come out the same.
+        left = id(c)
+        data = by_edges.get((left, edges))
         if data is None:
-            inverted = ov.chart.inverted
+            inverted = c.inverting(edges).inverted
             data = texts.get((left, inverted))
             if data is None:
-                head, tail = parts.get(left) or parts.setdefault(
-                    left, _chart_parts(ov.left_chart)
-                )
+                head, tail = parts.get(left) or parts.setdefault(left, _chart_parts(c))
                 items = [labels.get(m) or labels.setdefault(m, _label(m, 2)) for m in inverted]
                 data = texts[(left, inverted)] = (head + _list(items, 1) + tail).encode()
-            by_edges[(left, ov.inverted_edges)] = data
+            by_edges[(left, edges)] = data
         with open(os.path.join(tmp, fname), "wb") as f:
             f.write(data)
 
@@ -380,7 +377,7 @@ def write_atlas(
         for M, c in atlas.charts.items():
             values, tag = function(M)
             fname = f"chart_{tag}.json"
-            write(fname, Overlap(frozenset(), c))
+            write(fname, c, frozenset())
             fields = [("values", values), ("file", _quote(fname))]
             if vanishing is not None:
                 fr = closed_fibre(c, vanishing)
@@ -393,15 +390,14 @@ def write_atlas(
                 fields.append(("fibre", _object(fibre, 3)))
             charts.append(_object(fields, 2))
         overlaps = []
-        for (M, N), ov in atlas.overlaps.items():
+        for (M, N), edges in atlas.overlaps.items():
             (left, ltag), (right, rtag) = function(M), function(N)
             fname = f"overlap_{ltag}__{rtag}.json"
-            write(fname, ov)
-            edges = _list([quoted[e] for e in sorted(ov.inverted_edges)], 3)
+            write(fname, atlas.charts[M], edges)
             fields = [
                 ("left", left),
                 ("right", right),
-                ("inverted_edges", edges),
+                ("inverted_edges", _list([quoted[e] for e in sorted(edges)], 3)),
                 ("file", _quote(fname)),
             ]
             overlaps.append(_object(fields, 2))

@@ -42,10 +42,6 @@ class Edge:
     def is_loop(self) -> bool:
         return self.ends[0] == self.ends[1]
 
-    def other_end(self, v: str) -> str:
-        a, b = self.ends
-        return b if v == a else a
-
 
 def _edge(eid: str, u: str, v: str, label: Monomial) -> Edge:
     return Edge(eid, (u, v) if u <= v else (v, u), label)

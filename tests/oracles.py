@@ -7,9 +7,8 @@ functions by contracting every candidate afresh, and the text of every
 atlas, trace and strata file as ``json.dumps`` of an object built field by
 field.  Trait factorisations are filtered over the candidate product of the
 whole graph and their separatedness checked over every pair of whole
-functions; these two share only the zero-pattern classes of the atlas
-module, which the thickness oracles check against fresh contractions.  The
-package holds none of this; the script loads it by its path.
+functions, both on fresh contractions.  The package holds none of this;
+the script loads it by its path.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from graphalign import (
@@ -37,9 +37,9 @@ from graphalign import (
     closed_fibre,
     contract,
     is_thickness_function,
+    power_equivalent,
 )
 from graphalign.alignment import _class_verdict
-from graphalign.atlas import _classes, _overlap_positions
 from graphalign.formats import (
     _chart_parts,
     _label,
@@ -104,9 +104,12 @@ def _is_circuit(G: LabelledGraph, subset: Sequence[str]) -> bool:
     while frontier:
         at = frontier.pop()
         for e in edges:
-            if at in e.ends and e.other_end(at) not in seen:
-                seen.add(e.other_end(at))
-                frontier.append(e.other_end(at))
+            if at in e.ends:
+                a, b = e.ends
+                other = b if at == a else a
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
     return seen == verts
 
 
@@ -261,6 +264,21 @@ def is_aligned_oracle(G: LabelledGraph) -> bool:
     return True
 
 
+def irregularly_aligned_oracle(G: LabelledGraph) -> bool:
+    """Pairwise power-equivalence within every class: a pair with a unit
+    passes only when both labels are units."""
+    by_id = G.labels()
+    for cls in circuit_partition(G):
+        labels = [by_id[e] for e in sorted(cls)]
+        for a, b in itertools.combinations(labels, 2):
+            if a.is_unit or b.is_unit:
+                if not (a.is_unit and b.is_unit):
+                    return False
+            elif not power_equivalent(a, b):
+                return False
+    return True
+
+
 class AlignmentSweep:
     """The partition-based alignment test against the 2-vertex-connected
     subgraph oracle, on every labelling of a shape over an alphabet.
@@ -354,19 +372,28 @@ def brute_trait(
     G: LabelledGraph, v: Valuation, bound: Optional[int] = None
 ) -> TraitFactorisation:
     """``trait_factorisation`` on the whole graph: every vector of the
-    candidate product over all edges is checked for compatibility on G's
-    zero-pattern classes and then through ``is_thickness_function``."""
+    candidate product over all edges is checked for compatibility on the
+    classes of a fresh contraction, made once per zero set within the call,
+    and then through ``is_thickness_function``."""
     ids = G.edge_ids
-    vals = _edge_valuations(G, v)
+    vals = dict(zip(ids, _edge_valuations(G, v)))
+    memo: dict[frozenset[str], tuple[frozenset[str], ...]] = {}
+
+    def classes(values: dict[str, int]) -> tuple[frozenset[str], ...]:
+        zero = frozenset(e for e in ids if values[e] == 0)
+        if zero not in memo:
+            memo[zero] = contracted_classes(G, ThicknessFunction(tuple(values.items())))
+        return memo[zero]
+
     scales = []
-    canonical = [0] * len(vals)
-    for cls in _classes(G, vals):
-        t = math.gcd(*[vals[i] for i in cls])
-        scales.append((tuple(ids[i] for i in cls), t))
-        for i in cls:
-            canonical[i] = vals[i] // t
+    canonical = dict.fromkeys(ids, 0)
+    for cls in classes(vals):
+        t = math.gcd(*[vals[e] for e in cls])
+        scales.append((tuple(e for e in ids if e in cls), t))
+        for e in cls:
+            canonical[e] = vals[e] // t
     if bound is None:
-        bound = max(canonical, default=0)
+        bound = max(canonical.values(), default=0)
     elif bound < 0:
         raise ValueError("bound must be >= 0")
 
@@ -375,17 +402,18 @@ def brute_trait(
     # there and divides the valuation on every class.
     candidates = [
         range(bound + 1) if w == 0 else [d for d in _divisors(w) if d <= bound]
-        for w in vals
+        for w in vals.values()
     ]
     valid = []
     for vec in itertools.product(*candidates):
-        if all(len({vals[i] // vec[i] for i in cls}) == 1 for cls in _classes(G, vec)):
-            M = ThicknessFunction(tuple(zip(ids, vec)))
+        values = dict(zip(ids, vec))
+        if all(len({vals[e] // values[e] for e in cls}) == 1 for cls in classes(values)):
+            M = ThicknessFunction(tuple(values.items()))
             if is_thickness_function(G, M):
                 valid.append(M)
     return TraitFactorisation(
         v,
-        ThicknessFunction(tuple(zip(ids, canonical))),
+        ThicknessFunction(tuple(canonical.items())),
         tuple(sorted(scales)),
         bound,
         tuple(valid),
@@ -395,12 +423,12 @@ def brute_trait(
 def brute_trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
     """``trait_separated`` over every pair of whole functions of
     fact.all_valid: each overlap, on G, holds only edges of valuation 0."""
-    vals = _edge_valuations(G, fact.valuation)
-    vectors = [M.vector() for M in fact.all_valid]
-    for i, a in enumerate(vectors):
-        for b in vectors[i + 1 :]:
-            if any(vals[k] for k in _overlap_positions(G, a, b)):
-                return False
+    vals = dict(zip(G.edge_ids, _edge_valuations(G, fact.valuation)))
+    classes = [contracted_classes(G, M) for M in fact.all_valid]
+    pairs = itertools.combinations(zip(fact.all_valid, classes), 2)
+    for (M, of_M), (N, of_N) in pairs:
+        if any(vals[e] for e in brute_overlap_edges(M, N, of_M, of_N)):
+            return False
     return True
 
 
@@ -487,14 +515,22 @@ def atlas_files_oracle(
                 "torus_rank": fr.torus_rank,
             }
         index["charts"].append(entry)
-    for (M, N), ov in atlas.overlaps.items():
+    # An edge outside every class of chart(M) is contracted there, so its
+    # label is inverted already.
+    labels = atlas.graph.labels()
+    for (M, N), edges in atlas.overlaps.items():
         fname = _chart_filename("overlap", M, N)
-        files[fname] = _dump(chart_to_obj(ov.chart))
+        c = atlas.charts[M]
+        inverted = list(c.inverted)
+        for e in sorted(edges):
+            if labels[e] not in inverted:
+                inverted.append(labels[e])
+        files[fname] = _dump(chart_to_obj(replace(c, inverted=tuple(inverted))))
         index["overlaps"].append(
             {
                 "left": M.as_dict(),
                 "right": N.as_dict(),
-                "inverted_edges": sorted(ov.inverted_edges),
+                "inverted_edges": sorted(edges),
                 "file": fname,
             }
         )

@@ -11,7 +11,7 @@ from graphalign import (
     strong_alignment_level,
 )
 
-from oracles import is_aligned_oracle
+from oracles import irregularly_aligned_oracle, is_aligned_oracle
 from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
 
 
@@ -92,7 +92,7 @@ class TestIrregular:
             theta(mono(x=1), mono(y=1), mono(x=1)),
             disjoint_loops(),
         ]:
-            assert is_irregularly_aligned(G) == is_aligned(G)
+            assert irregularly_aligned_oracle(G) == is_irregularly_aligned(G) == is_aligned(G)
 
     def test_twogon_xy_powers(self):
         assert is_irregularly_aligned(twogon(mono(x=1, y=1), mono(x=2, y=2)))
@@ -100,7 +100,7 @@ class TestIrregular:
     @settings(max_examples=200)
     @given(labelled_graphs(max_edges=7))
     def test_equals_regular_everywhere(self, G):
-        assert is_irregularly_aligned(G) == is_aligned(G)
+        assert irregularly_aligned_oracle(G) == is_irregularly_aligned(G) == is_aligned(G)
 
 
 class TestStrongLevel:

@@ -103,7 +103,7 @@ class TestIsThicknessFunction:
 
     def test_must_be_total_on_the_graph(self):
         G = theta()
-        M = ThicknessFunction.from_dict({"e1": 1, "e2": 1})
+        M = ThicknessFunction((("e1", 1), ("e2", 1)))
         with pytest.raises(ValueError):
             is_thickness_function(G, M)
         with pytest.raises(ValueError):
@@ -351,19 +351,40 @@ class TestBuildAtlas:
         assert len(atlas.charts) == len(enumerate_thickness(theta(), 1))
         for M, c in atlas.charts.items():
             assert verify_chart_substitution(c)
-        for (M, N), ov in atlas.overlaps.items():
-            assert ov.inverted_edges == overlap_edges(theta(), N, M)
-            assert verify_chart_substitution(ov.chart)
+        for (M, N), edges in atlas.overlaps.items():
+            assert edges == overlap_edges(theta(), N, M)
+            assert verify_chart_substitution(atlas.charts[M].inverting(edges))
 
     def test_overlap_accessor_is_symmetric(self):
         # One overlap per unordered pair of distinct charts, keyed in chart
         # order, with the same inverted edges read from either side.
         G = twogon()
         atlas = build_atlas(G, 1)
-        ms = atlas.thickness_functions
+        ms = list(atlas.charts)
         assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
-        for (M, N), ov in atlas.overlaps.items():
-            assert ov.inverted_edges == overlap_edges(G, M, N) == overlap_edges(G, N, M)
+        for (M, N), edges in atlas.overlaps.items():
+            assert edges == overlap_edges(G, M, N) == overlap_edges(G, N, M)
+
+    def test_equal_overlap_sets_are_one_object(self):
+        # 256 charts give 32,640 overlaps but only 255 distinct edge sets.
+        atlas = build_atlas(load_graph(FIXTURES / "wheel.graph"), 1)
+        sets = atlas.overlaps.values()
+        assert len({id(s) for s in sets}) == len(set(sets)) == 255
+
+    def test_each_function_checked_once(self, monkeypatch):
+        # Four functions, each checked by is_thickness_function while it is
+        # enumerated and by chart; the six pairs add no check.
+        calls = []
+        original = atlas_module._check_total
+
+        def counted(G, M):
+            calls.append(M)
+            return original(G, M)
+
+        monkeypatch.setattr(atlas_module, "_check_total", counted)
+        atlas = build_atlas(twogon(), 1)
+        assert len(atlas.overlaps) == 6
+        assert len(calls) == 8
 
     @settings(max_examples=30, deadline=None)
     @given(labelled_graphs(max_edges=4, max_exp=2))
@@ -371,8 +392,8 @@ class TestBuildAtlas:
         atlas = build_atlas(G, 1)
         for c in atlas.charts.values():
             assert verify_chart_substitution(c)
-        for ov in atlas.overlaps.values():
-            assert verify_chart_substitution(ov.chart)
+        for (M, _), edges in atlas.overlaps.items():
+            assert verify_chart_substitution(atlas.charts[M].inverting(edges))
 
 
 def _assert_atlas_equals_per_pair(G, bound):
@@ -392,19 +413,18 @@ def _assert_atlas_equals_per_pair(G, bound):
     assert atlas.charts == charts
     assert list(atlas.overlaps) == list(itertools.combinations(ms, 2))
     labels = G.labels()
-    for (M, N), ov in atlas.overlaps.items():
+    for (M, N), edges in atlas.overlaps.items():
         delta = brute_overlap_edges(M, N, contracted_classes(G, M), contracted_classes(G, N))
-        assert ov.inverted_edges == delta
+        assert edges == delta
         assert overlap_edges(G, M, N) == delta
-        assert ov.left_chart is atlas.charts[M]
         inverted = list(charts[M].inverted)
         for e in sorted(delta):
             if labels[e] not in inverted:
                 inverted.append(labels[e])
-        assert ov.chart == replace(charts[M], inverted=tuple(inverted))
+        assert atlas.charts[M].inverting(edges) == replace(charts[M], inverted=tuple(inverted))
     # overlap() builds chart(M) on each call, so only a prefix of the pairs.
-    for (M, N), ov in itertools.islice(atlas.overlaps.items(), 500):
-        assert overlap(G, M, N) == (ov.inverted_edges, ov.chart)
+    for (M, N), edges in itertools.islice(atlas.overlaps.items(), 500):
+        assert overlap(G, M, N) == (edges, atlas.charts[M].inverting(edges))
 
 
 class TestAtlasEqualsPerPairConstruction:

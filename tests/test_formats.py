@@ -15,7 +15,7 @@ from graphalign import (
     resolve,
     stratify,
 )
-from graphalign.atlas import Atlas, Overlap
+from graphalign.atlas import Atlas
 from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
@@ -384,8 +384,8 @@ class TestDirectoryWriters:
         expected = {}
         for entry, c in zip(index["charts"], atlas.charts.values()):
             expected[entry["file"]] = serialize_chart(c)
-        for entry, ov in zip(index["overlaps"], atlas.overlaps.values()):
-            expected[entry["file"]] = serialize_chart(ov.chart)
+        for entry, ((M, _), edges) in zip(index["overlaps"], atlas.overlaps.items()):
+            expected[entry["file"]] = serialize_chart(atlas.charts[M].inverting(edges))
         assert len(expected) == len(atlas.charts) + len(atlas.overlaps)
         written = {p.name for p in out.iterdir()} - {"atlas.index"}
         assert written == set(expected)
@@ -518,8 +518,8 @@ class TestDirectoryOracle:
 
     def test_atlas_overlap_inverting_no_edge(self, tmp_path):
         full = build_atlas(twogon(), 1)
-        (M, N), ov = next(iter(full.overlaps.items()))
-        atlas = Atlas(full.graph, 1, full.charts, {(M, N): Overlap(frozenset(), ov.left_chart)})
+        M, N = next(iter(full.overlaps))
+        atlas = Atlas(full.graph, 1, full.charts, {(M, N): frozenset()})
         expected = atlas_files_oracle(atlas)
         assert '"inverted_edges": []' in expected["atlas.index"]
         write_atlas(atlas, tmp_path / "out")

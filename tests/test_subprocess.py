@@ -32,6 +32,7 @@ def test_oracle_sweep_runs_clean(tmp_path):
     assert counts == (
         "22 shapes, 208 labelled graphs swept, 20 witnesses checked, "
         "22 graph texts checked, 22 atlas directories checked, "
+        "430 atlas overlaps checked, "
         "22 strata directories checked, 44 thickness enumerations checked, "
         "396 trait factorisations checked, 0 mismatches"
     )
