@@ -47,8 +47,7 @@ def main():
     print("\n== strata ==")
     fam = stratify(G)
     for J in fam.subsets():
-        stratum = fam.strata[J]
-        labels = ", ".join(f"{e.id}:{e.label}" for e in stratum.graph.edges) or "smooth"
+        labels = ", ".join(f"{e.id}:{e.label}" for e in fam.strata[J].edges) or "smooth"
         print(f"  {{{','.join(sorted(J))}}}: {labels}")
     print(f"controlling check: {verify_controlling(fam).passed}")
 

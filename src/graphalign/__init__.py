@@ -59,7 +59,6 @@ from .resolution import (
 from .strata import (
     ControllingReport,
     StratifiedFamily,
-    Stratum,
     specialisation_map,
     stratify,
     verify_controlling,

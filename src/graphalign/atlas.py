@@ -163,7 +163,10 @@ def bezout(ms: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ClassRow:
-    """One edge of a chart class: label = a^multiplicity * u, with Bezout coefficient."""
+    """One edge of a chart class and its binomial relation, label = a^multiplicity * u.
+
+    The Bezout coefficient is the edge's exponent in its class's torus relation.
+    """
 
     edge: str
     label: Monomial
@@ -177,32 +180,15 @@ class ClassRow:
 
 @dataclass(frozen=True)
 class ChartClass:
+    """One class of a chart: a binomial relation per row, and the torus relation
+    1 = prod u_e^{coefficient_e} over its rows."""
+
     edges: tuple[str, ...]
     rows: tuple[ClassRow, ...]
 
     @property
     def aligning_var(self) -> str:
         return f"a_{self.edges[0]}"
-
-
-@dataclass(frozen=True)
-class BinomialRelation:
-    """label - a^{multiplicity} * u, one per class edge."""
-
-    class_edges: tuple[str, ...]
-    edge: str
-    label: Monomial
-    multiplicity: int
-    unit_var: str
-    aligning_var: str
-
-
-@dataclass(frozen=True)
-class TorusRelation:
-    """1 - prod u_e^{n_e}, one per class."""
-
-    class_edges: tuple[str, ...]
-    exponents: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -230,27 +216,6 @@ class ChartPresentation:
             if label is not None and label not in inverted:
                 inverted.append(label)
         return ChartPresentation(self.base, self.classes, tuple(inverted))
-
-    def relations(self) -> list[object]:
-        rels: list[object] = []
-        for cls in self.classes:
-            for row in cls.rows:
-                rels.append(
-                    BinomialRelation(
-                        cls.edges,
-                        row.edge,
-                        row.label,
-                        row.multiplicity,
-                        row.unit_var,
-                        cls.aligning_var,
-                    )
-                )
-            rels.append(
-                TorusRelation(
-                    cls.edges, tuple((r.edge, r.coefficient) for r in cls.rows)
-                )
-            )
-        return rels
 
 
 def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:

@@ -198,8 +198,8 @@ def _cmd_strata(args) -> int:
     for J in fam.subsets():
         stratum = fam.strata[J]
         tag = "{" + ",".join(sorted(J)) + "}"
-        labels = ", ".join(f"{e.id}:{e.label}" for e in stratum.graph.edges) or "smooth"
-        print(f"stratum {tag}: {len(stratum.graph.vertices)} vertices, {labels}")
+        labels = ", ".join(f"{e.id}:{e.label}" for e in stratum.edges) or "smooth"
+        print(f"stratum {tag}: {len(stratum.vertices)} vertices, {labels}")
     report = strata.verify_controlling(fam)
     print(f"controlling: {'ok' if report.passed else 'FAILED'}")
     return 0

@@ -21,10 +21,8 @@ from typing import Optional, Sequence
 from .alignment import AlignmentReport
 from .atlas import (
     Atlas,
-    BinomialRelation,
     ChartPresentation,
     ThicknessFunction,
-    TorusRelation,
     closed_fibre,
 )
 from .graph import Edge, LabelledGraph
@@ -254,14 +252,12 @@ def alignment_report_to_obj(r: AlignmentReport) -> dict:
 
 
 def render_relations(c: ChartPresentation) -> list[str]:
-    """Human-readable lines, one per relation."""
+    """Human-readable lines: each class's binomials, then its torus relation."""
     out = []
-    for rel in c.relations():
-        if isinstance(rel, BinomialRelation):
-            out.append(f"{rel.label} = {rel.aligning_var}^{rel.multiplicity} * {rel.unit_var}")
-        elif isinstance(rel, TorusRelation):
-            factors = [f"u_{e}^{n}" for e, n in rel.exponents]
-            out.append("1 = " + " * ".join(factors))
+    for cls in c.classes:
+        for row in cls.rows:
+            out.append(f"{row.label} = {cls.aligning_var}^{row.multiplicity} * {row.unit_var}")
+        out.append("1 = " + " * ".join(f"{row.unit_var}^{row.coefficient}" for row in cls.rows))
     return out
 
 
@@ -333,17 +329,20 @@ def write_atlas(
 
     Every file is canonical ``json.dumps(indent=2)`` text, spliced from
     fragments encoded once: each chart's text around its inverted labels,
-    each distinct inverted label, and each thickness function's ``values``
-    and file-name tag.  Most overlaps of chart(M) share their text with
-    chart(M) or with another of its overlaps, so each distinct text is
-    built once and written to every file that has it.  The atlas oracle in
-    tests/oracles.py rebuilds every file with ``json.dumps``.
+    each distinct inverted label, each thickness function's ``values`` and
+    file-name tag, and each overlap set's ``inverted_edges`` list (equal
+    sets are one object, interned by ``build_atlas``).  Most overlaps of
+    chart(M) share their text with chart(M) or with another of its
+    overlaps, so each distinct text is built once and written to every
+    file that has it.  The atlas oracle in tests/oracles.py rebuilds every
+    file with ``json.dumps``.
     """
     parts: dict[int, tuple[str, str]] = {}
     labels: dict[Monomial, str] = {}
     texts: dict[tuple[int, tuple[Monomial, ...]], bytes] = {}
     by_edges: dict[tuple[int, frozenset[str]], bytes] = {}
     functions: dict[int, tuple[str, str]] = {}
+    listed: dict[frozenset[str], str] = {}
 
     def write(fname: str, c: ChartPresentation, edges: frozenset[str]) -> None:
         # c is held by the atlas, so its id names it for the whole write.
@@ -370,7 +369,6 @@ def write_atlas(
             found = functions[id(M)] = (values, "-".join(str(v) for _, v in M.values))
         return found
 
-    quoted = {e: _quote(e) for e in atlas.graph.edge_ids}
     point = None if vanishing is None else _list([_quote(g) for g in sorted(vanishing)], 4)
     with _staged_dir(outdir) as tmp:
         charts = []
@@ -394,10 +392,13 @@ def write_atlas(
             (left, ltag), (right, rtag) = function(M), function(N)
             fname = f"overlap_{ltag}__{rtag}.json"
             write(fname, atlas.charts[M], edges)
+            inverted = listed.get(edges)
+            if inverted is None:
+                inverted = listed[edges] = _list([_quote(e) for e in sorted(edges)], 3)
             fields = [
                 ("left", left),
                 ("right", right),
-                ("inverted_edges", _list([quoted[e] for e in sorted(edges)], 3)),
+                ("inverted_edges", inverted),
                 ("file", _quote(fname)),
             ]
             overlaps.append(_object(fields, 2))
@@ -451,7 +452,7 @@ def strata_poset_dot(fam: StratifiedFamily) -> str:
     node = {J: _quote(t) for J, t in tag.items()}
     lines = ['digraph "strata" {']
     for J in subsets:
-        label = _quote(f"{tag[J]}: {len(fam.strata[J].graph.edges)} edges")
+        label = _quote(f"{tag[J]}: {len(fam.strata[J].edges)} edges")
         lines.append(f"  {node[J]} [label={label}];")
     for J, J2 in sorted(fam.covers, key=lambda p: (key[p[0]], key[p[1]])):
         lines.append(f"  {node[J]} -> {node[J2]};")
@@ -472,7 +473,7 @@ def write_strata(fam: StratifiedFamily, outdir: str | Path) -> None:
         for i, J in enumerate(fam.subsets()):
             fname = f"stratum_{i:02d}.graph"
             with open(os.path.join(tmp, fname), "w") as f:
-                f.write(_graph_text(fam.strata[J].graph, vertices, labels))
+                f.write(_graph_text(fam.strata[J], vertices, labels))
             generators = _list([_quote(g) for g in sorted(J)], 3)
             strata.append(_object([("generators", generators), ("file", _quote(fname))], 2))
         with open(os.path.join(tmp, "poset.dot"), "w") as f:

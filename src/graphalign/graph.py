@@ -448,15 +448,6 @@ class GraphMorphism:
     def contracted_edges(self) -> frozenset[str]:
         return frozenset(e for e, (kind, _) in self.edge_map if kind == "vertex")
 
-    @property
-    def is_identity(self) -> bool:
-        return (
-            self.source == self.target
-            and all(v == w for v, w in self.vertex_map)
-            and all(img == ("edge", e) for e, img in self.edge_map)
-            and self.kept_generators is None
-        )
-
 
 def _contraction(
     G: LabelledGraph, edge_ids: Iterable[str], label: Callable[[Monomial], Monomial]

@@ -84,9 +84,6 @@ class Monomial:
                 return e
         return 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.exps)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         acc = dict(self.exps)
         for g, e in other.exps:

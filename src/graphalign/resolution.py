@@ -11,7 +11,6 @@ so rewriting terminates with all labels of valuation at most one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .alignment import check_alignment
 from .graph import Edge, LabelledGraph, _edge
@@ -136,9 +135,7 @@ def blowup_step(
     return H, tuple(records)
 
 
-def resolve(
-    G: LabelledGraph, v: Valuation, max_steps: Optional[int] = None
-) -> ResolutionTrace:
+def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
     """Iterate blowup steps until delta reaches zero, recording the trace.
 
     The valuation must send each class primitive to 1, so that label
@@ -151,12 +148,8 @@ def resolve(
                 f"valuation must send the class primitive {p} (edge {e!r}) to 1"
             )
     steps = [ResolutionStep(G, delta(G, v), ())]
-    i = 0
     while steps[-1].delta > 0:
-        i += 1
-        if max_steps is not None and i > max_steps:
-            raise ValueError(f"resolution did not finish within {max_steps} steps")
-        H, records = blowup_step(steps[-1].graph, step=i)
+        H, records = blowup_step(steps[-1].graph, step=len(steps))
         d = delta(H, v)
         if d >= steps[-1].delta:
             raise AssertionError("delta failed to decrease; rewriting bug")

@@ -14,20 +14,15 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graph import GraphMorphism, LabelledGraph, _specialisation, specialise
-from .labels import GeneratorSet, _is_nc_label
-
-
-@dataclass(frozen=True)
-class Stratum:
-    gens: frozenset[str]
-    graph: LabelledGraph
+from .labels import _is_nc_label
 
 
 @dataclass(frozen=True)
 class StratifiedFamily:
-    base: GeneratorSet
+    """The controlling graph and, keyed by J, the stratum graph at J."""
+
     controlling: LabelledGraph
-    strata: dict[frozenset[str], Stratum]
+    strata: dict[frozenset[str], LabelledGraph]
 
     def subsets(self) -> list[frozenset[str]]:
         return sorted(self.strata, key=lambda J: (len(J), tuple(sorted(J))))
@@ -78,14 +73,14 @@ def stratify(G: LabelledGraph) -> StratifiedFamily:
     """
     support = _require_nc(G)
     top = frozenset(support)
-    strata: dict[frozenset[str], Stratum] = {}
+    strata: dict[frozenset[str], LabelledGraph] = {}
     for r in range(len(support) + 1):
         for combo in itertools.combinations(support, r):
             J = frozenset(combo)
             # The most special stratum is the controlling graph itself,
             # including generators no label uses.
-            strata[J] = Stratum(J, G if J == top else _specialisation(G, J)[0])
-    return StratifiedFamily(G.generators, G, strata)
+            strata[J] = G if J == top else _specialisation(G, J)[0]
+    return StratifiedFamily(G, strata)
 
 
 def specialisation_map(
@@ -102,11 +97,11 @@ def specialisation_map(
         raise ValueError(f"{sorted(J2)} is not a subset of {sorted(J)}")
     if J not in fam.strata or J2 not in fam.strata:
         raise ValueError("unknown stratum")
-    src = fam.strata[J].graph
+    src = fam.strata[J]
     if J == J2:
         return GraphMorphism.identity(src)
     graph, phi = specialise(src, J2)
-    if graph != fam.strata[J2].graph:
+    if graph != fam.strata[J2]:
         raise AssertionError("stratum mismatch; contraction naming bug")
     return phi
 
@@ -136,10 +131,7 @@ def verify_controlling(fam: StratifiedFamily) -> ControllingReport:
     witnesses = []
     failures = []
     for J in fam.subsets():
-        stratum = fam.strata[J]
-        used = frozenset(
-            g for e in stratum.graph.edges for g in e.label.support
-        )
+        used = frozenset(g for e in fam.strata[J].edges for g in e.label.support)
         found: Optional[frozenset[str]] = None
         for J2 in (used, J):
             if J2 == J or (J2 <= J and not specialisation_map(fam, J, J2).contracted_edges):

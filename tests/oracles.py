@@ -45,7 +45,6 @@ from graphalign.formats import (
     _label,
     _list,
     monomial_to_obj,
-    render_relations,
 )
 
 ORACLE_EDGE_CAP = 12
@@ -450,6 +449,18 @@ def graph_to_obj(G: LabelledGraph) -> dict:
     }
 
 
+def rendered_relations(c: ChartPresentation) -> list[str]:
+    """The chart's relations as text, named from the edges: per class, one
+    ``label = a_<first edge>^m * u_<edge>`` line per edge, then the torus
+    relation ``1 = u_<edge>^n * ...`` with the Bezout coefficients."""
+    lines = []
+    for cls in c.classes:
+        a = f"a_{cls.edges[0]}"
+        lines += [f"{row.label} = {a}^{row.multiplicity} * u_{row.edge}" for row in cls.rows]
+        lines.append("1 = " + " * ".join(f"u_{row.edge}^{row.coefficient}" for row in cls.rows))
+    return lines
+
+
 def chart_to_obj(c: ChartPresentation) -> dict:
     return {
         "generators": list(c.base.names),
@@ -472,7 +483,7 @@ def chart_to_obj(c: ChartPresentation) -> dict:
             for cls in c.classes
         ],
         "inverted_labels": [monomial_to_obj(m) for m in c.inverted],
-        "rendered": render_relations(c),
+        "rendered": rendered_relations(c),
     }
 
 
@@ -584,7 +595,7 @@ def strata_files_oracle(fam: StratifiedFamily) -> dict[str, str]:
     lines = ['digraph "strata" {']
     for i, J in enumerate(fam.subsets()):
         fname = f"stratum_{i:02d}.graph"
-        graph = fam.strata[J].graph
+        graph = fam.strata[J]
         files[fname] = _dump(graph_to_obj(graph))
         index["strata"].append({"generators": sorted(J), "file": fname})
         label = json.dumps(f"{tag(J)}: {len(graph.edges)} edges")

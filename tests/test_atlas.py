@@ -26,8 +26,6 @@ from graphalign import (
     verify_chart_substitution,
 )
 from graphalign.atlas import (
-    BinomialRelation,
-    TorusRelation,
     TraitFactorisation,
     trait_separated,
 )
@@ -269,14 +267,13 @@ class TestChart:
             ("e1", 1, 1),
             ("e2", 1, 0),
         ]
-        rels = c.relations()
-        torus = [r for r in rels if isinstance(r, TorusRelation)]
-        assert torus == [TorusRelation(("e1", "e2"), (("e1", 1), ("e2", 0)))]
-        binoms = [r for r in rels if isinstance(r, BinomialRelation)]
-        assert {(b.edge, str(b.label), b.multiplicity) for b in binoms} == {
-            ("e1", "x", 1),
-            ("e2", "y", 1),
-        }
+        # One binomial per row, label = a_e1^multiplicity * unit_var, and
+        # the class's torus relation 1 = u_e1^1 * u_e2^0.
+        assert cls.edges == ("e1", "e2")
+        assert [(r.edge, str(r.label), r.unit_var) for r in cls.rows] == [
+            ("e1", "x", "u_e1"),
+            ("e2", "y", "u_e2"),
+        ]
 
     def test_twogon_partial_chart_inverts_dropped_label(self):
         G = twogon()

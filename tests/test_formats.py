@@ -15,12 +15,13 @@ from graphalign import (
     resolve,
     stratify,
 )
-from graphalign.atlas import Atlas
+from graphalign.atlas import Atlas, ThicknessFunction, chart
 from graphalign.formats import (
     GraphFormatError,
     graph_to_dot,
     load_graph,
     parse_graph,
+    render_relations,
     serialize_graph,
     strata_poset_dot,
     write_atlas,
@@ -374,6 +375,15 @@ class TestDirectoryWriters:
             assert "fibre" in entry
         rendered = json.loads((out / index["charts"][3]["file"]).read_text())["rendered"]
         assert "x = a_e1^1 * u_e1" in rendered
+
+    def test_negative_bezout_coefficient_rendered(self):
+        G = twogon()
+        c = chart(G, ThicknessFunction.from_vector(G, (2, 3)))
+        assert render_relations(c) == [
+            "x = a_e1^2 * u_e1",
+            "y = a_e1^3 * u_e2",
+            "1 = u_e1^-1 * u_e2^1",
+        ]
 
     @pytest.mark.parametrize("name, bound", [("theta", 2), ("mixed6", 1)])
     def test_atlas_files_equal_unshared_serialisation(self, tmp_path, name, bound):

@@ -220,7 +220,7 @@ class TestContract:
         G = twogon()
         H, phi = contract(G, [])
         assert H == G
-        assert phi.is_identity
+        assert phi == GraphMorphism.identity(G)
 
     def test_threecycle_becomes_twogon(self):
         H, _ = contract(threecycle(), ["e1"])

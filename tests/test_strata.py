@@ -9,7 +9,6 @@ from graphalign import (
     LabelledGraph,
     Monomial,
     StratifiedFamily,
-    Stratum,
     compose,
     specialisation_map,
     specialise,
@@ -41,17 +40,16 @@ class TestStratify:
     def test_twogon_four_strata(self):
         fam = stratify(twogon(nc=True))
         assert len(fam.strata) == 4
-        full = fam.strata[frozenset({"x", "y"})]
-        assert full.graph == fam.controlling
-        loop_x = fam.strata[frozenset({"x"})].graph
+        assert fam.strata[frozenset({"x", "y"})] == fam.controlling
+        loop_x = fam.strata[frozenset({"x"})]
         assert [(e.id, str(e.label), e.is_loop) for e in loop_x.edges] == [
             ("e1", "x", True)
         ]
-        loop_y = fam.strata[frozenset({"y"})].graph
+        loop_y = fam.strata[frozenset({"y"})]
         assert [(e.id, str(e.label), e.is_loop) for e in loop_y.edges] == [
             ("e2", "y", True)
         ]
-        smooth = fam.strata[frozenset()].graph
+        smooth = fam.strata[frozenset()]
         assert smooth.edges == ()
 
     def test_single_loop_two_strata(self):
@@ -71,7 +69,7 @@ class TestStratify:
         assert len(fam.strata) == 4
         # the most special stratum is the controlling graph, unused
         # generators included
-        assert fam.strata[frozenset({"x", "y"})].graph == G
+        assert fam.strata[frozenset({"x", "y"})] == G
         assert_strata_are_specialisations(G)
         assert verify_controlling(fam).passed
 
@@ -94,7 +92,7 @@ def assert_strata_are_specialisations(G):
     fam = stratify(G)
     top = frozenset(g for e in G.edges for g in e.label.support)
     for J, stratum in fam.strata.items():
-        assert stratum.graph == (G if J == top else specialise(G, J)[0])
+        assert stratum == (G if J == top else specialise(G, J)[0])
 
 
 @pytest.mark.parametrize("name", ["twogon", "threecycle", "theta"])
@@ -153,7 +151,7 @@ class TestSpecialisationMap:
                 if not J1 <= J:
                     continue
                 phi = specialisation_map(fam, J, J1)
-                src = fam.strata[J].graph
+                src = fam.strata[J]
                 expected = {
                     e.id for e in src.edges if not (e.label.support & J1)
                 }
@@ -190,7 +188,7 @@ class TestVerifyControlling:
         # outside J; then the labelling set is no candidate and J is the witness.
         G = twogon(nc=True)
         J = frozenset({"x"})
-        fam = StratifiedFamily(G.generators, G, {J: Stratum(J, G)})
+        fam = StratifiedFamily(G, {J: G})
         report = verify_controlling(fam)
         assert report.passed
         assert report.witnesses == ((("x",), ("x",)),)
