@@ -11,6 +11,7 @@ operation, the best of ``--repeat`` runs in plain wall seconds:
                         with its checked morphism
     check_alignment     the alignment report of the one circuit class
     circuit_partition   the block search
+    parse_graph         parse_graph on the grid's canonical serialize_graph text
 
 Every timed call gets a fresh copy of the grid, so nothing a graph keeps
 from one call (its circuit partition, its index view) helps the next.
@@ -31,6 +32,7 @@ from graphalign import (
     contract,
     specialise,
 )
+from graphalign.formats import parse_graph, serialize_graph
 
 X, Y = Monomial.generator("x"), Monomial.generator("y")
 
@@ -58,6 +60,7 @@ def timings(n: int, repeat: int) -> dict[str, float]:
     names = [f"v{r}_{c}" for r in range(n) for c in range(n)]
     edges = grid_edges(n)
     G = LabelledGraph.build(gens, names, edges)
+    text = serialize_graph(G)
 
     def fresh() -> LabelledGraph:
         return LabelledGraph(G.generators, G.vertices, G.edges)
@@ -68,6 +71,7 @@ def timings(n: int, repeat: int) -> dict[str, float]:
         "specialise": best(repeat, fresh, lambda H: specialise(H, ["x"])),
         "check_alignment": best(repeat, fresh, check_alignment),
         "circuit_partition": best(repeat, fresh, circuit_partition),
+        "parse_graph": best(repeat, lambda: None, lambda _: parse_graph(text)),
     }
 
 

@@ -50,9 +50,6 @@ class ThicknessFunction:
     def vector(self) -> tuple[int, ...]:
         return tuple(v for _, v in self.values)
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
-
     def __str__(self) -> str:
         return ",".join(str(v) for v in self.vector())
 
@@ -205,8 +202,8 @@ class ChartPresentation:
         """The label of every edge in a class of the chart."""
         return {row.edge: row.label for cls in self.classes for row in cls.rows}
 
-    def inverting(self, edges: Iterable[str]) -> "ChartPresentation":
-        """This chart with the labels of ``edges`` inverted too."""
+    def inverted_with(self, edges: Iterable[str]) -> tuple[Monomial, ...]:
+        """The inverted labels of this chart with the labels of ``edges`` inverted too."""
         # An edge outside every class of the chart is contracted there, so its
         # label is inverted already.
         labels = self._edge_labels
@@ -215,7 +212,11 @@ class ChartPresentation:
             label = labels.get(e)
             if label is not None and label not in inverted:
                 inverted.append(label)
-        return ChartPresentation(self.base, self.classes, tuple(inverted))
+        return tuple(inverted)
+
+    def inverting(self, edges: Iterable[str]) -> "ChartPresentation":
+        """This chart with the labels of ``edges`` inverted too."""
+        return ChartPresentation(self.base, self.classes, self.inverted_with(edges))
 
 
 def chart(G: LabelledGraph, M: ThicknessFunction) -> ChartPresentation:

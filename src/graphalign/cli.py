@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
 import re
 import sys
 from pathlib import Path
@@ -23,6 +23,7 @@ from .labels import Valuation
 # not all zero is read too, as a negative number, so that the range check
 # of the option refuses it with its own message.
 _INTEGER = re.compile(r"[0-9]+|-[0-9]*[1-9][0-9]*")
+_VECTOR = re.compile(rf"(?:{_INTEGER.pattern})(?:,(?:{_INTEGER.pattern}))*")
 
 
 def _integer(text: str) -> int:
@@ -59,10 +60,9 @@ def _parse_assignments(text: str, flag: str) -> dict[str, int]:
 
 
 def _parse_vector(text: str, flag: str) -> list[int]:
-    try:
-        return [_integer(part) for part in text.split(",")]
-    except ValueError:
-        raise ValueError(f"{flag}: expected comma-separated integers") from None
+    if _VECTOR.fullmatch(text) is None:
+        raise ValueError(f"{flag}: expected comma-separated integers")
+    return list(map(int, text.split(",")))
 
 
 def _parse_vanishing(G, text: Optional[str]) -> Optional[list[str]]:
@@ -97,10 +97,6 @@ def _refuse_existing(out: Optional[str]) -> None:
         raise FileExistsError(f"refusing to overwrite {out}")
 
 
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
 def _cmd_analyze(args) -> int:
     G = formats.load_graph(args.graph)
     report = alignment.check_alignment(G)
@@ -109,10 +105,7 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write(formats.graph_to_dot(G))
         return 0
     if args.format == "json":
-        obj = formats.alignment_report_to_obj(report)
-        obj["irregularly_aligned"] = report.aligned
-        obj["strong_level"] = level
-        _emit_json(obj)
+        sys.stdout.write(formats.alignment_report_json(report, level))
         return 0
     print(f"graph: {len(G.vertices)} vertices, {len(G.edges)} edges")
     gens = ", ".join(G.generators.names)
@@ -276,6 +269,11 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
+    # A command builds no reference cycle, so the cyclic collector would
+    # only trace its data again and again, never free any of it: it is
+    # paused for the command and left as the caller had it.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except formats.GraphFormatError as err:
@@ -284,6 +282,9 @@ def run(argv: Sequence[str]) -> int:
     except (ValueError, FileExistsError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -35,10 +35,6 @@ class GraphFormatError(ValueError):
     """Malformed input file (distinct from precondition violations)."""
 
 
-def monomial_to_obj(m: Monomial) -> dict[str, int]:
-    return {g: e for g, e in m.exps}
-
-
 def parse_graph(text: str, source: str = "<string>") -> LabelledGraph:
     """Parse the graph file format, with positions on JSON-level errors."""
     try:
@@ -232,23 +228,33 @@ def graph_to_dot(G: LabelledGraph, name: str = "G") -> str:
     return "\n".join(lines) + "\n"
 
 
-def alignment_report_to_obj(r: AlignmentReport) -> dict:
-    return {
-        "aligned": r.aligned,
-        "unit_edges": list(r.unit_edges),
-        "classes": [
-            {
-                "edges": list(c.edges),
-                "aligned": c.aligned,
-                "primitive": None if c.primitive is None else monomial_to_obj(c.primitive),
-                "multiplicities": None
-                if c.multiplicities is None
-                else {e: n for e, n in c.multiplicities},
-                "reason": c.reason,
-            }
-            for c in r.classes
-        ],
-    }
+def alignment_report_json(r: AlignmentReport, level: Optional[int]) -> str:
+    """The text of ``analyze --format json``: the report's fields, then
+    ``irregularly_aligned`` and ``strong_level``, as ``json.dumps(obj,
+    indent=2)`` plus a newline lays them out (tests/oracles.py builds the
+    object and compares)."""
+    classes = []
+    for c in r.classes:
+        mults = c.multiplicities
+        fields = [
+            ("edges", _list([_quote(e) for e in c.edges], 3)),
+            ("aligned", _bool(c.aligned)),
+            ("primitive", "null" if c.primitive is None else _label(c.primitive, 3)),
+            (
+                "multiplicities",
+                "null" if mults is None else _object([(e, str(n)) for e, n in mults], 3),
+            ),
+            ("reason", "null" if c.reason is None else _quote(c.reason)),
+        ]
+        classes.append(_object(fields, 2))
+    fields = [
+        ("aligned", _bool(r.aligned)),
+        ("unit_edges", _list([_quote(e) for e in r.unit_edges], 1)),
+        ("classes", _list(classes, 1)),
+        ("irregularly_aligned", _bool(r.aligned)),
+        ("strong_level", "null" if level is None else str(level)),
+    ]
+    return _object(fields, 0) + "\n"
 
 
 def render_relations(c: ChartPresentation) -> list[str]:
@@ -351,7 +357,7 @@ def write_atlas(
         left = id(c)
         data = by_edges.get((left, edges))
         if data is None:
-            inverted = c.inverting(edges).inverted
+            inverted = c.inverted_with(edges)
             data = texts.get((left, inverted))
             if data is None:
                 head, tail = parts.get(left) or parts.setdefault(left, _chart_parts(c))

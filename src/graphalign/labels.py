@@ -117,16 +117,19 @@ class Monomial:
 def primitive_part(m: Monomial) -> tuple[Monomial, int]:
     """Write a non-unit monomial as p^k with p primitive; return (p, k).
 
-    The result is kept on m, so every later call shares one p.
+    The gcd k, and p when it is not m, are kept on m, so every later call
+    shares one p.  A primitive m keeps no reference to itself: it is freed
+    by reference counting alone.
     """
     found = m.__dict__.get("_primitive_part")
     if found is None:
         if m.is_unit:
             raise ValueError("the unit monomial has no primitive part")
         k = math.gcd(*(e for _, e in m.exps))
-        p = m if k == 1 else Monomial(tuple((g, e // k) for g, e in m.exps))
+        p = None if k == 1 else Monomial(tuple((g, e // k) for g, e in m.exps))
         found = m.__dict__["_primitive_part"] = (p, k)
-    return found
+    p, k = found
+    return (m if p is None else p), k
 
 
 def _is_nc_label(m: Monomial) -> bool:
@@ -196,9 +199,6 @@ class Valuation:
     def of(self, m: Monomial) -> int:
         """Sum of exponent * value over the monomial's support."""
         return sum(e * self.value(g) for g, e in m.exps)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
 
 
 @dataclass(frozen=True)

@@ -39,13 +39,8 @@ from graphalign import (
     is_thickness_function,
     power_equivalent,
 )
-from graphalign.alignment import _class_verdict
-from graphalign.formats import (
-    _chart_parts,
-    _label,
-    _list,
-    monomial_to_obj,
-)
+from graphalign.alignment import AlignmentReport, _class_verdict
+from graphalign.formats import _chart_parts, _label, _list
 
 ORACLE_EDGE_CAP = 12
 
@@ -342,7 +337,7 @@ def brute_overlap_edges(
 ) -> frozenset[str]:
     """The edges the overlap of chart(M) and chart(N) inverts: every edge of
     a contracted class of M or of N that holds an edge where M and N differ."""
-    theirs = N.as_dict()
+    theirs = dict(N.values)
     diff = {e for e, v in M.values if theirs[e] != v}
     return frozenset(e for cls in (*classes_of_M, *classes_of_N) if cls & diff for e in cls)
 
@@ -353,7 +348,7 @@ def brute_thickness(G: LabelledGraph, bound: int) -> list[ThicknessFunction]:
     found = []
     for vec in itertools.product(range(bound + 1), repeat=len(G.edges)):
         M = ThicknessFunction.from_vector(G, vec)
-        values = M.as_dict()
+        values = dict(M.values)
         if all(math.gcd(*(values[e] for e in cls)) == 1 for cls in contracted_classes(G, M)):
             found.append(M)
     return found
@@ -437,6 +432,38 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def monomial_to_obj(m: Monomial) -> dict[str, int]:
+    return {g: e for g, e in m.exps}
+
+
+def alignment_report_to_obj(r: AlignmentReport) -> dict:
+    return {
+        "aligned": r.aligned,
+        "unit_edges": list(r.unit_edges),
+        "classes": [
+            {
+                "edges": list(c.edges),
+                "aligned": c.aligned,
+                "primitive": None if c.primitive is None else monomial_to_obj(c.primitive),
+                "multiplicities": None
+                if c.multiplicities is None
+                else {e: n for e, n in c.multiplicities},
+                "reason": c.reason,
+            }
+            for c in r.classes
+        ],
+    }
+
+
+def analysis_json(r: AlignmentReport, level: Optional[int]) -> str:
+    """The text of ``analyze --format json``: the report's object with
+    ``irregularly_aligned`` and ``strong_level`` added."""
+    obj = alignment_report_to_obj(r)
+    obj["irregularly_aligned"] = r.aligned
+    obj["strong_level"] = level
+    return _dump(obj)
+
+
 def graph_to_obj(G: LabelledGraph) -> dict:
     return {
         "generators": list(G.generators.names),
@@ -516,7 +543,7 @@ def atlas_files_oracle(
     for M, c in atlas.charts.items():
         fname = _chart_filename("chart", M)
         files[fname] = _dump(chart_to_obj(c))
-        entry: dict = {"values": M.as_dict(), "file": fname}
+        entry: dict = {"values": dict(M.values), "file": fname}
         if vanishing is not None:
             fr = closed_fibre(c, vanishing)
             entry["fibre"] = {
@@ -539,8 +566,8 @@ def atlas_files_oracle(
         files[fname] = _dump(chart_to_obj(replace(c, inverted=tuple(inverted))))
         index["overlaps"].append(
             {
-                "left": M.as_dict(),
-                "right": N.as_dict(),
+                "left": dict(M.values),
+                "right": dict(N.values),
                 "inverted_edges": sorted(edges),
                 "file": fname,
             }
@@ -564,7 +591,7 @@ def _graph_dot(G: LabelledGraph, name: str) -> str:
 def trace_files_oracle(trace: ResolutionTrace, dot: bool = False) -> dict[str, str]:
     """File name to text for ``write_trace(trace, out, dot)``."""
     files = {}
-    log: dict = {"valuation": trace.valuation.as_dict(), "steps": []}
+    log: dict = {"valuation": dict(trace.valuation.values), "steps": []}
     for i, step in enumerate(trace.steps):
         fname = f"step_{i:02d}.graph"
         files[fname] = _dump(graph_to_obj(step.graph))

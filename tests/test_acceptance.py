@@ -149,7 +149,7 @@ def test_criterion_4_chart_identities():
         for M in ms:
             c = chart(G, M)
             assert verify_chart_substitution(c), (name, M)
-            values = M.as_dict()
+            values = dict(M.values)
             for cls in c.classes:
                 # The torus relation's exponents are the rows' Bezout coefficients.
                 s = sum(row.coefficient * values[row.edge] for row in cls.rows)

@@ -637,7 +637,7 @@ def _subset_verdict(G, v, rng):
 
 
 def _scales(G, M, vals):
-    values = M.as_dict()
+    values = dict(M.values)
     for cls in contracted_classes(G, M):
         ts = set()
         for e in cls:

@@ -1,12 +1,26 @@
+import gc
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from graphalign import atlas, graph, resolution, strata
-from graphalign.cli import run
+from graphalign import (
+    GeneratorSet,
+    LabelledGraph,
+    Monomial,
+    atlas,
+    check_alignment,
+    formats,
+    graph,
+    resolution,
+    strata,
+    strong_alignment_level,
+)
+from graphalign.cli import build_parser, run
 
 from conftest import FIXTURES
+from oracles import analysis_json
 
 TWOGON = str(FIXTURES / "twogon.graph")
 THETA = str(FIXTURES / "theta.graph")
@@ -37,6 +51,14 @@ class TestAnalyze:
         assert run(["analyze", TWOGON, "--format", "dot"]) == 0
         out, _ = out_of(capsys)
         assert out.startswith('graph "G"')
+
+    @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
+    def test_json_equals_json_dumps(self, capsys, name):
+        path = FIXTURES / f"{name}.graph"
+        assert run(["analyze", str(path), "--format", "json"]) == 0
+        out, _ = out_of(capsys)
+        G = formats.load_graph(path)
+        assert out == analysis_json(check_alignment(G), strong_alignment_level(G))
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
@@ -162,6 +184,12 @@ VALIDATE_ERR = "--validate: expected comma-separated integers"
         (["thickness", TWOGON, "--validate", "2, 3"], VALIDATE_ERR),
         (["thickness", TWOGON, "--validate", "\u0662,3"], VALIDATE_ERR),
         (["thickness", TWOGON, "--validate=-0,1"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "1,,2"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "1,"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", ",1"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "1, 2"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate=-0"], VALIDATE_ERR),
+        (["thickness", TWOGON, "--validate", "1,\uff11"], VALIDATE_ERR),
         (["trait", TWOGON, "--valuation", "x=4_0,y=6"], "--valuation: '4_0' is not an integer"),
         (["trait", TWOGON, "--valuation", "x=+4,y=6"], "--valuation: '+4' is not an integer"),
         (
@@ -184,6 +212,12 @@ VALIDATE_ERR = "--validate: expected comma-separated integers"
         "validate-space",
         "validate-arabic-indic",
         "validate-minus-zero",
+        "validate-empty-value",
+        "validate-trailing-comma",
+        "validate-leading-comma",
+        "validate-space-after-comma",
+        "validate-lone-minus-zero",
+        "validate-fullwidth",
         "valuation-underscore",
         "valuation-plus",
         "valuation-padded-arabic-indic",
@@ -366,3 +400,121 @@ class TestDeterminism:
         assert run(argv) == 0
         second, _ = out_of(capsys)
         assert first == second
+
+
+class TestCollector:
+    """Commands run with the cyclic collector paused, and build no reference cycles."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "argv, code, loads",
+        [
+            (["analyze", TWOGON], 0, 1),
+            (["analyze", "does-not-exist.graph"], 1, 1),
+            (["thickness", TWOGON, "--validate", "1,2,3"], 2, 1),
+            (["thickness", TWOGON, "--max", "x"], 2, 0),
+        ],
+        ids=["ok", "input-error", "precondition", "usage"],
+    )
+    def test_run_restores_the_callers_state(self, capsys, monkeypatch, enabled, argv, code, loads):
+        seen = []
+        load = formats.load_graph
+
+        def recording(path):
+            seen.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(formats, "load_graph", recording)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False] * loads
+
+
+def grid_graph(n: int) -> LabelledGraph:
+    """The n x n grid, its edges labelled x, x^2 and x^3 in turn: one
+    aligned circuit class with primitive and non-primitive labels."""
+    labels = [Monomial.generator("x", k) for k in (1, 2, 3)]
+    v = [[f"v{r}_{c}" for c in range(n)] for r in range(n)]
+    pairs = [(v[r][c], v[r][c + 1]) for r in range(n) for c in range(n - 1)]
+    pairs += [(v[r][c], v[r + 1][c]) for r in range(n - 1) for c in range(n)]
+    edges = [(f"e{i}", a, b, labels[i % 3]) for i, (a, b) in enumerate(pairs)]
+    return LabelledGraph.build(GeneratorSet(("x",)), [u for row in v for u in row], edges)
+
+
+def command(kind: str, path: str, G: LabelledGraph, out: str, bound: str) -> list[str]:
+    valuation = ",".join(f"{g}=1" for g in G.generators.names)
+    return {
+        "analyze": ["analyze", path],
+        "analyze-json": ["analyze", path, "--format", "json"],
+        "analyze-dot": ["analyze", path, "--format", "dot"],
+        "thickness-max": ["thickness", path, "--max", "1"],
+        "thickness-validate": ["thickness", path, "--validate", ",".join("1" for _ in G.edges)],
+        "atlas": ["atlas", path, "--max", bound, "--out", out],
+        "atlas-vanishing": [
+            "atlas", path, "--max", bound, "--out", out, "--vanishing", G.generators.names[0]
+        ],
+        "resolve": ["resolve", path, "--valuation", valuation],
+        "resolve-out": ["resolve", path, "--valuation", valuation, "--out", out],
+        "strata-out": ["strata", path, "--out", out],
+        "strata-dot": ["strata", path, "--format", "dot"],
+        "trait": ["trait", path, "--valuation", valuation],
+    }[kind]
+
+
+KINDS = [
+    "analyze", "analyze-json", "analyze-dot", "thickness-max", "thickness-validate", "atlas",
+    "atlas-vanishing", "resolve", "resolve-out", "strata-out", "strata-dot", "trait",
+]
+# The grid's one class of 760 edges has 2^760 candidate functions at bound 1.
+GRID_KINDS = [k for k in KINDS if k not in ("thickness-max", "atlas", "atlas-vanishing")]
+# Atlases at bound 1 of the two larger fixtures take seconds; bound 0 writes one chart.
+ATLAS_BOUND = {"mixed6": "0", "wheel": "0"}
+
+
+@pytest.fixture(scope="module")
+def grid_path(tmp_path_factory) -> Path:
+    path = tmp_path_factory.mktemp("grid") / "grid20.graph"
+    path.write_text(formats.serialize_graph(grid_graph(20)))
+    return path
+
+
+def unreachable_after(argv: list[str]) -> tuple[int, Counter]:
+    """run(argv)'s exit status, and the types of the objects it left that
+    only the cyclic collector can free."""
+    build_parser()
+    # Frozen objects are left out of collections: the one after the command
+    # looks only at what the command made.
+    gc.freeze()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = run(argv)
+        gc.collect()
+        return code, Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
+def test_fixture_commands_leave_no_cycles(tmp_path, capsys, name, kind):
+    path = FIXTURES / f"{name}.graph"
+    G = formats.load_graph(path)
+    argv = command(kind, str(path), G, str(tmp_path / "out"), ATLAS_BOUND.get(name, "1"))
+    code, leaked = unreachable_after(argv)
+    assert code in (0, 2)
+    assert not leaked, f"unreachable after {argv[0]}: {dict(leaked)}"
+
+
+@pytest.mark.parametrize("kind", GRID_KINDS)
+def test_grid_commands_leave_no_cycles(tmp_path, capsys, grid_path, kind):
+    argv = command(kind, str(grid_path), grid_graph(20), str(tmp_path / "out"), "1")
+    code, leaked = unreachable_after(argv)
+    assert code in (0, 2)
+    assert not leaked, f"unreachable after {argv[0]}: {dict(leaked)}"

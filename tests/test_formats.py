@@ -12,12 +12,15 @@ from graphalign import (
     Monomial,
     Valuation,
     build_atlas,
+    check_alignment,
     resolve,
     stratify,
+    strong_alignment_level,
 )
 from graphalign.atlas import Atlas, ThicknessFunction, chart
 from graphalign.formats import (
     GraphFormatError,
+    alignment_report_json,
     graph_to_dot,
     load_graph,
     parse_graph,
@@ -32,6 +35,7 @@ from graphalign.cli import run
 
 from conftest import FIXTURES
 from oracles import (
+    analysis_json,
     atlas_files_oracle,
     graph_to_obj,
     serialize_chart,
@@ -131,6 +135,14 @@ class TestWriterOracle:
         text = serialize_graph(G)
         assert text == json.dumps(graph_to_obj(G), indent=2) + "\n"
         assert parse_graph(text) == G
+
+    @settings(max_examples=200)
+    @given(named_graphs())
+    @example(ESCAPES)
+    @example(LabelledGraph.build(GeneratorSet(()), [], []))
+    def test_analysis_json_equals_json_dumps(self, G):
+        report, level = check_alignment(G), strong_alignment_level(G)
+        assert alignment_report_json(report, level) == analysis_json(report, level)
 
 
 class TestLabelInterning:

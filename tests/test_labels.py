@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -139,11 +142,29 @@ class TestCachedFacts:
 
     @given(nonunit_monomials(max_exp=4))
     def test_primitive_part_is_computed_once(self, m):
-        first = primitive_part(m)
-        assert primitive_part(m) is first
+        m = Monomial(m.exps)
+        with mock.patch.object(math, "gcd", wraps=math.gcd) as gcd:
+            first = primitive_part(m)
+            second = primitive_part(m)
+        assert gcd.call_count == 1
+        assert second == first and second[0] is first[0]
         p, k = first
         assert p.pow(k) == m
         assert primitive_part(p) == (p, 1)
+
+    @given(nonunit_monomials(max_exp=4))
+    def test_labels_are_freed_by_reference_counting(self, m):
+        m = Monomial(m.exps)
+        p, _ = primitive_part(m)
+        refs = [weakref.ref(m), weakref.ref(p)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m, p
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_unit_still_has_no_primitive_part(self):
         with pytest.raises(ValueError):

@@ -68,6 +68,7 @@ def test_core_timings_runs():
         "| `specialise`",
         "| `check_alignment`",
         "| `circuit_partition`",
+        "| `parse_graph`",
     ]
     assert all(row.endswith(" s |") for row in rows)
 
