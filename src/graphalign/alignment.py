@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .graph import LabelledGraph, circuit_partition
-from .labels import Monomial, primitive_root
+from .labels import Monomial, _is_nc_label, primitive_root
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,23 @@ def check_alignment(G: LabelledGraph) -> AlignmentReport:
 
     Singleton classes are always aligned; a class with >= 2 edges needs a
     common primitive root for its labels (or must consist purely of units).
+    The report is kept on G, which is immutable, like its circuit
+    partition, so the strong level and ``resolve`` read these verdicts
+    without deciding alignment again.
     """
-    by_id = G.labels()
-    classes = []
-    for cls in circuit_partition(G):
-        edges = sorted(cls)
-        classes.append(_class_verdict(edges, [by_id[e] for e in edges]))
-    return AlignmentReport(
-        aligned=all(c.aligned for c in classes),
-        classes=tuple(classes),
-        unit_edges=tuple(sorted(e for e, m in by_id.items() if m.is_unit)),
-    )
+    found = G.__dict__.get("_alignment")
+    if found is None:
+        by_id = G.labels()
+        classes = tuple(
+            _class_verdict(edges, [by_id[e] for e in edges])
+            for edges in map(sorted, circuit_partition(G))
+        )
+        found = G.__dict__["_alignment"] = AlignmentReport(
+            aligned=all(c.aligned for c in classes),
+            classes=classes,
+            unit_edges=tuple(sorted(e for e, m in by_id.items() if m.is_unit)),
+        )
+    return found
 
 
 def is_aligned(G: LabelledGraph) -> bool:
@@ -94,25 +100,18 @@ def strong_alignment_level(G: LabelledGraph) -> Optional[int]:
     Loops are excluded.  Per block of the loop-deleted graph, one element
     a must realise every label as a^r with 0 <= r <= e, and the chosen
     tuple must be a weak normal-crossings family; for monomials that
-    forces each a to be a unit or a single generator with exponent 1, so
-    only those candidates are searched.  Classes mixing unit and non-unit
-    labels are ruled out to keep strong alignment within plain alignment.
+    forces each a to be a unit or a single generator with exponent 1.  So
+    all-unit classes pass, any other class must be aligned with such a
+    primitive, and e is the largest multiplicity in ``check_alignment``'s
+    verdicts.  Classes mixing unit and non-unit labels are not aligned,
+    which keeps strong alignment within plain alignment.
     """
-    by_id = G.labels()
     loops = {e.id for e in G.edges if e.is_loop}
     level = 0
-    for cls in circuit_partition(G):
-        if cls <= loops:
+    for c in check_alignment(G).classes:
+        if c.edges[0] in loops or (c.aligned and c.primitive is None):
             continue
-        labels = [by_id[e] for e in sorted(cls)]
-        units = [m.is_unit for m in labels]
-        if all(units):
-            continue
-        if any(units):
+        if not c.aligned or not _is_nc_label(c.primitive):
             return None
-        supports = set().union(*(m.support for m in labels))
-        if len(supports) != 1:
-            return None
-        (gen,) = supports
-        level = max(level, max(m.exponent(gen) for m in labels))
+        level = max(level, max(n for _, n in c.multiplicities))
     return level

@@ -78,12 +78,6 @@ class Monomial:
     def support(self) -> frozenset[str]:
         return frozenset(g for g, _ in self.exps)
 
-    def exponent(self, gen: str) -> int:
-        for g, e in self.exps:
-            if g == gen:
-                return e
-        return 0
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         acc = dict(self.exps)
         for g, e in other.exps:

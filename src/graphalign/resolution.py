@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alignment import check_alignment
+from .alignment import AlignmentReport, check_alignment
 from .graph import Edge, LabelledGraph, _edge
-from .labels import Monomial, Valuation
+from .labels import Monomial, Valuation, primitive_part
 
 
 @dataclass(frozen=True)
@@ -51,22 +51,12 @@ def delta(G: LabelledGraph, v: Valuation) -> int:
     return total
 
 
-def _multiplicities(G: LabelledGraph) -> dict[str, tuple[Monomial, int]]:
-    """Per edge, the class primitive and the exponent realising its label.
-
-    Requires an aligned graph; unit-labelled edges are absent from the map.
-    """
+def _require_aligned(G: LabelledGraph) -> AlignmentReport:
     report = check_alignment(G)
     if not report.aligned:
         bad = [c for c in report.classes if not c.aligned]
         raise ValueError(f"graph is not aligned (first failing class: {bad[0].edges})")
-    out: dict[str, tuple[Monomial, int]] = {}
-    for cls in report.classes:
-        if cls.primitive is None:
-            continue
-        for e, n in cls.multiplicities:
-            out[e] = (cls.primitive, n)
-    return out
+    return report
 
 
 def blowup_step(
@@ -77,9 +67,20 @@ def blowup_step(
     Fresh vertex names combine the parent edge id with the step index, and
     fresh edge ids extend the parent id, so traces are reproducible.
     """
-    mults = _multiplicities(G)
+    _require_aligned(G)
+    return _rewrite(G, step)
+
+
+def _rewrite(
+    G: LabelledGraph, step: int
+) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
+    """``blowup_step`` on a graph already known to be aligned.
+
+    There each non-unit label is p^n with p its class primitive, so its
+    ``primitive_part`` gives (p, n) without the block search.
+    """
     vertices = set(G.vertices)
-    taken = set(G.edge_ids)
+    taken = {e.id for e in G.edges}
     new_edges: list[Edge] = []
     records: list[RewriteRecord] = []
     # One label object per distinct label in H, as ``parse_graph`` gives,
@@ -93,7 +94,7 @@ def blowup_step(
         if e.label.is_unit:
             records.append(RewriteRecord(e.id, "delete-unit", ()))
             continue
-        p, n = mults[e.id]
+        p, n = primitive_part(e.label)
         if n == 1:
             label = shared[e.label]
             new_edges.append(e if label is e.label else Edge(e.id, e.ends, label))
@@ -140,16 +141,20 @@ def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
 
     The valuation must send each class primitive to 1, so that label
     valuations agree with the intrinsic multiplicities and delta is the
-    correct termination measure.
+    correct termination measure.  Alignment and the primitives are checked
+    once, on G: every step stays aligned with the same primitives, since
+    subdividing an edge keeps its pieces in its parent's block (a loop's
+    pieces form a new cycle, a bridge's are bridges), and deleting the
+    unit edges, whose classes hold only units, merges no blocks.
     """
-    for e, (p, _) in _multiplicities(G).items():
-        if v.of(p) != 1:
+    for c in _require_aligned(G).classes:
+        if c.primitive is not None and v.of(c.primitive) != 1:
             raise ValueError(
-                f"valuation must send the class primitive {p} (edge {e!r}) to 1"
+                f"valuation must send the class primitive {c.primitive} (edge {c.edges[0]!r}) to 1"
             )
     steps = [ResolutionStep(G, delta(G, v), ())]
     while steps[-1].delta > 0:
-        H, records = blowup_step(steps[-1].graph, step=len(steps))
+        H, records = _rewrite(steps[-1].graph, len(steps))
         d = delta(H, v)
         if d >= steps[-1].delta:
             raise AssertionError("delta failed to decrease; rewriting bug")

@@ -240,7 +240,7 @@ def _has_common_root(labels: Sequence[Monomial]) -> bool:
         root = Monomial(tuple((gen, e // k) for gen, e in first.exps))
         ok = True
         for m in labels:
-            n = m.exponent(root.exps[0][0]) // root.exps[0][1]
+            n = dict(m.exps).get(root.exps[0][0], 0) // root.exps[0][1]
             if n < 1 or root.pow(n) != m:
                 ok = False
                 break
@@ -271,6 +271,41 @@ def irregularly_aligned_oracle(G: LabelledGraph) -> bool:
             elif not power_equivalent(a, b):
                 return False
     return True
+
+
+def strong_level_oracle(G: LabelledGraph) -> Optional[int]:
+    """The strong alignment level from the labels themselves, not from the
+    alignment verdicts: per non-loop class, all units pass, a unit beside a
+    non-unit fails, and otherwise every label must be a power of one and
+    the same generator; the level is the largest such power."""
+    by_id = G.labels()
+    loops = {e.id for e in G.edges if e.is_loop}
+    level = 0
+    for cls in circuit_partition(G):
+        if cls <= loops:
+            continue
+        labels = [by_id[e] for e in sorted(cls)]
+        units = [m.is_unit for m in labels]
+        if all(units):
+            continue
+        if any(units):
+            return None
+        supports = set().union(*(m.support for m in labels))
+        if len(supports) != 1:
+            return None
+        level = max(level, max(e for m in labels for _, e in m.exps))
+    return level
+
+
+def class_multiplicities(r: AlignmentReport) -> dict[str, tuple[Monomial, int]]:
+    """Per edge of a class that the report finds aligned with a primitive,
+    that primitive and the power of it that the edge's label is."""
+    return {
+        e: (c.primitive, n)
+        for c in r.classes
+        if c.primitive is not None
+        for e, n in c.multiplicities
+    }
 
 
 class AlignmentSweep:

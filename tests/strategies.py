@@ -91,13 +91,16 @@ def labelled_graphs(draw, max_vertices=5, max_edges=8, gens=("x", "y"), max_exp=
 
 
 @st.composite
-def chained_blocks(draw, max_edges=9, gens=("x", "y"), max_exp=2):
+def chained_blocks(draw, max_edges=9, gens=("x", "y"), max_exp=2, block_labels=None):
     """Blocks chained at cut vertices, each hung at a vertex drawn before it:
     loops, bridges, bundles of parallel edges and cycles (some with an edge
     doubled).  Edge ids are a shuffled numbering, so the blocks interleave
-    in id order."""
+    in id order.  Each block is one circuit class; ``block_labels(k)``,
+    when given, is a strategy for the k labels of a block, drawn in place
+    of one independent label per edge."""
     vertices = ["v0"]
     pairs = []
+    labels = []
     for _ in range(draw(st.integers(min_value=1, max_value=5))):
         at = draw(st.sampled_from(vertices))
         kind = draw(st.sampled_from(["loop", "bridge", "bundle", "cycle"]))
@@ -116,12 +119,34 @@ def chained_blocks(draw, max_edges=9, gens=("x", "y"), max_exp=2):
             break
         pairs.extend(block)
         vertices.extend(sorted({v for pair in block for v in pair} - set(vertices)))
+        if block_labels is not None:
+            labels.extend(draw(block_labels(len(block))))
     ids = draw(st.permutations(range(len(pairs))))
-    edges = [
-        (f"e{i}", u, v, draw(monomials(gens, max_exp)))
-        for i, (u, v) in zip(ids, pairs)
-    ]
+    if block_labels is None:
+        labels = [draw(monomials(gens, max_exp)) for _ in pairs]
+    edges = [(f"e{i}", u, v, label) for i, (u, v), label in zip(ids, pairs, labels)]
     return LabelledGraph.build(GeneratorSet(tuple(gens)), vertices, edges)
+
+
+# Each is valued 1 where x is 1 and y is 0.
+PRIMITIVES = (mono(x=1), mono(x=1, y=1), mono(x=1, y=2))
+
+
+@st.composite
+def _aligned_block(draw, k, max_exp):
+    p = draw(st.sampled_from((None,) + PRIMITIVES))
+    if p is None:
+        return [Monomial.unit()] * k
+    return [p.pow(draw(st.integers(1, max_exp))) for _ in range(k)]
+
+
+def aligned_graphs(max_edges=9, max_exp=12):
+    """``chained_blocks`` that are aligned by construction: each block's
+    labels are all units, or powers p^1 .. p^max_exp of one primitive in
+    ``PRIMITIVES``."""
+    return chained_blocks(
+        max_edges, block_labels=lambda k: _aligned_block(k, max_exp)
+    )
 
 
 def random_graph(rng: random.Random, max_vertices=5, max_edges=8, gens=("x", "y"), max_exp=2):

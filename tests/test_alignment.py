@@ -1,18 +1,57 @@
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphalign import (
     GeneratorSet,
     LabelledGraph,
+    Monomial,
     check_alignment,
+    formats,
     is_aligned,
     is_irregularly_aligned,
     strong_alignment_level,
 )
 
-from oracles import irregularly_aligned_oracle, is_aligned_oracle
-from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
+from conftest import FIXTURES
+from oracles import irregularly_aligned_oracle, is_aligned_oracle, strong_level_oracle
+from strategies import (
+    aligned_graphs,
+    chained_blocks,
+    labelled_graphs,
+    mono,
+    random_graph,
+    theta,
+    threecycle,
+    twogon,
+)
+
+
+FIXTURE_NAMES = ["mixed6", "theta", "threecycle", "twogon", "wheel"]
+
+
+def blocks_of_every_kind(mixed: bool) -> LabelledGraph:
+    """A loop x*y, a bridge x^3, parallel edges x and x^2, an all-unit pair
+    of parallel edges and a 2-cycle x^2, x^4, or with ``mixed`` a 2-cycle
+    of x and a unit."""
+    one, x = Monomial.unit(), mono(x=1)
+    last = [x, one] if mixed else [mono(x=2), mono(x=4)]
+    return LabelledGraph.build(
+        GeneratorSet(("x", "y")),
+        ["a", "b", "c", "d", "e"],
+        [
+            ("l", "a", "a", mono(x=1, y=1)),
+            ("r", "a", "b", mono(x=3)),
+            ("p1", "b", "c", x),
+            ("p2", "b", "c", mono(x=2)),
+            ("u1", "c", "d", one),
+            ("u2", "c", "d", one),
+            ("m1", "d", "e", last[0]),
+            ("m2", "d", "e", last[1]),
+        ],
+    )
 
 
 def disjoint_loops():
@@ -44,15 +83,11 @@ class TestIsAligned:
         assert len(report.classes) == 2
 
     def test_unit_mixing_fails(self):
-        from graphalign import Monomial
-
         report = check_alignment(twogon(mono(x=1), Monomial.unit()))
         assert not report.aligned
         assert report.unit_edges == ("e2",)
 
     def test_all_unit_class_is_aligned(self):
-        from graphalign import Monomial
-
         report = check_alignment(twogon(Monomial.unit(), Monomial.unit()))
         assert report.aligned
 
@@ -135,6 +170,32 @@ class TestStrongLevel:
         gens = GeneratorSet(("x",))
         G = LabelledGraph.build(gens, ["a", "b"], [("e", "a", "b", mono(x=3))])
         assert strong_alignment_level(G) == 3
+
+    def test_blocks_of_every_kind(self):
+        assert strong_alignment_level(blocks_of_every_kind(mixed=False)) == 4
+        assert strong_alignment_level(blocks_of_every_kind(mixed=True)) is None
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_equal_label_walk(self, name):
+        G = formats.load_graph(FIXTURES / f"{name}.graph")
+        assert strong_alignment_level(G) == strong_level_oracle(G)
+
+    # Single-generator labels give integer levels; units make all-unit and
+    # mixed classes; chained blocks bring loops, bridges and parallel edges.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            labelled_graphs(max_edges=7),
+            labelled_graphs(max_edges=7, gens=("x",), max_exp=3),
+            chained_blocks(),
+            chained_blocks(gens=("x",), max_exp=3),
+            aligned_graphs(max_exp=4),
+        )
+    )
+    @example(blocks_of_every_kind(mixed=False))
+    @example(blocks_of_every_kind(mixed=True))
+    def test_equals_label_walk(self, G):
+        assert strong_alignment_level(G) == strong_level_oracle(G)
 
     def test_monotone_by_construction(self):
         # level is the least admissible bound, so any larger bound works:

@@ -9,6 +9,7 @@ from graphalign import (
     GeneratorSet,
     LabelledGraph,
     Monomial,
+    alignment,
     atlas,
     check_alignment,
     formats,
@@ -63,7 +64,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
     def test_one_block_search_per_graph(self, capsys, monkeypatch, name, fmt):
-        # The three alignment passes share the partition kept on the graph.
+        # The report and the strong level share the partition kept on the graph.
         searches = []
         blocks = graph._blocks
 
@@ -75,6 +76,24 @@ class TestAnalyze:
         assert run(["analyze", str(FIXTURES / f"{name}.graph"), "--format", fmt]) == 0
         out_of(capsys)
         assert len(searches) == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
+    def test_one_partition_call_per_graph(self, capsys, monkeypatch, name, fmt):
+        # The strong level reads the report kept on the graph, so it asks
+        # for no partition of its own.
+        calls = []
+        partition = graph.circuit_partition
+
+        def counting(G):
+            calls.append(G)
+            return partition(G)
+
+        monkeypatch.setattr(graph, "circuit_partition", counting)
+        monkeypatch.setattr(alignment, "circuit_partition", counting)
+        assert run(["analyze", str(FIXTURES / f"{name}.graph"), "--format", fmt]) == 0
+        out_of(capsys)
+        assert len(calls) == 1
 
 
 class TestThickness:

@@ -2,22 +2,52 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphalign import (
     GeneratorSet,
     LabelledGraph,
     Monomial,
     Valuation,
+    alignment,
     blowup_step,
+    check_alignment,
     delta,
     first_betti,
+    formats,
     is_aligned,
+    primitive_part,
     resolve,
 )
 
-from strategies import mono, random_graph, twogon
+from conftest import FIXTURES
+from oracles import class_multiplicities
+from strategies import (
+    aligned_graphs,
+    chained_blocks,
+    labelled_graphs,
+    mono,
+    random_graph,
+    twogon,
+)
 
 VX = Valuation.from_dict({"x": 1})
+# Sends every primitive of ``strategies.PRIMITIVES`` to 1.
+VXY = Valuation.from_dict({"x": 1, "y": 0})
+
+
+def assert_primitive_parts_match(G: LabelledGraph) -> None:
+    """Each label in an aligned class is its class primitive's power, so its
+    own primitive part is that primitive and multiplicity; on an aligned
+    graph that covers every edge without a unit label."""
+    report = check_alignment(G)
+    expected = class_multiplicities(report)
+    for e in G.edges:
+        if e.id in expected:
+            assert primitive_part(e.label) == expected[e.id], e.id
+    if report.aligned:
+        assert set(expected) == {e.id for e in G.edges if not e.label.is_unit}
 
 
 def single_edge(n: int) -> LabelledGraph:
@@ -165,3 +195,58 @@ class TestResolve:
         assert rules == ["split-three"]
         produced = trace.steps[1].rewrites[0].produced
         assert produced == ("e.1", "e.2", "e.3")
+
+
+class TestAlignmentIsCheckedOnce:
+    @pytest.mark.parametrize("name", ["mixed6", "theta", "threecycle", "twogon", "wheel"])
+    def test_fixture_primitive_parts_are_class_multiplicities(self, name):
+        assert_primitive_parts_match(formats.load_graph(FIXTURES / f"{name}.graph"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            labelled_graphs(max_edges=7),
+            labelled_graphs(max_edges=7, gens=("x",), max_exp=4),
+            chained_blocks(),
+            chained_blocks(gens=("x",), max_exp=4),
+        )
+    )
+    def test_primitive_parts_are_class_multiplicities(self, G):
+        assert_primitive_parts_match(G)
+
+    def test_class_verdicts_only_on_the_input(self, monkeypatch):
+        # A loop x^2, a bridge x^3 and a 4-cycle with x^5: three steps.
+        gens = GeneratorSet(("x",))
+        G = LabelledGraph.build(
+            gens,
+            ["a", "b", "c", "d"],
+            [
+                ("l", "a", "a", mono(x=2)),
+                ("r", "a", "b", mono(x=3)),
+                ("c1", "b", "c", mono(x=5)),
+                ("c2", "c", "d", mono(x=1)),
+                ("c3", "b", "d", mono(x=1)),
+            ],
+        )
+        seen = []
+        verdict = alignment._class_verdict
+
+        def counting(edges, labels):
+            seen.append(tuple(edges))
+            return verdict(edges, labels)
+
+        monkeypatch.setattr(alignment, "_class_verdict", counting)
+        trace = resolve(G, VX)
+        assert len(trace.steps) == 3
+        assert seen == [("c1", "c2", "c3"), ("l",), ("r",)]
+
+    # The oracle that replaces a per-step alignment check in ``resolve``.
+    @settings(max_examples=150, deadline=None)
+    @given(aligned_graphs(max_exp=12))
+    def test_every_step_is_aligned_with_its_primitive_parts(self, G):
+        assert is_aligned(G)
+        trace = resolve(G, VXY)
+        for step in trace.steps:
+            assert check_alignment(step.graph).aligned
+            assert_primitive_parts_match(step.graph)
+        assert all(VXY.of(e.label) <= 1 for e in trace.final.edges)

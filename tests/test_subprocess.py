@@ -1,6 +1,7 @@
-"""Runs in a fresh interpreter: the three scripts, a bare package import and the
-benchmark's own tests."""
+"""Runs in a fresh interpreter: the three scripts, a bare package import, the
+CLI under two hash seeds and the benchmark's own tests."""
 
+import json
 import os
 import subprocess
 import sys
@@ -82,6 +83,71 @@ def test_package_import_leaves_oracles_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "True"
+
+
+# One child per hash seed: each command on each fixture, in-process and
+# writing into the working directory.  It prints one JSON object: each
+# command's exit code, stdout and stderr, and each output file's digest.
+SEED_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from graphalign import formats
+from graphalign.cli import run
+results = {}
+for path in sorted(Path(sys.argv[1]).glob("*.graph")):
+    name, graph = path.stem, str(path)
+    ones = ",".join(f"{g}=1" for g in formats.load_graph(path).generators.names)
+    for argv in (
+        ["analyze", graph],
+        ["analyze", graph, "--format", "json"],
+        ["thickness", graph, "--max", "1"],
+        ["trait", graph, "--valuation", ones],
+        ["atlas", graph, "--max", "1", "--out", f"{name}-atlas"],
+        ["strata", graph, "--out", f"{name}-strata"],
+        ["resolve", graph, "--valuation", ones, "--out", f"{name}-trace"],
+    ):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run(argv)
+        results[" ".join([argv[0], name] + argv[2:])] = [code, stdout.getvalue(), stderr.getvalue()]
+files = {
+    str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+    for p in sorted(Path().rglob("*"))
+    if p.is_file()
+}
+json.dump({"commands": results, "files": files}, sys.stdout)
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # Sets and frozensets of strings iterate in an order that changes with
+    # PYTHONHASHSEED; no output may follow it.
+    children = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SEED_CHILD, str(ROOT / "tests" / "fixtures")],
+            cwd=out, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        children.append(proc)
+    runs = []
+    for proc in children:
+        stdout, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, stderr
+        runs.append(json.loads(stdout))
+    first, second = runs
+    assert len(first["commands"]) == 35
+    assert any(code == 0 for code, _, _ in first["commands"].values())
+    assert any(path.startswith("wheel-atlas/") for path in first["files"])
+    assert any(path.startswith("threecycle-strata/") for path in first["files"])
+    assert any(path.startswith("wheel-trace/") for path in first["files"])
+    assert first["commands"] == second["commands"]
+    assert first["files"] == second["files"]
 
 
 def test_benchmark_self_tests_pass():
