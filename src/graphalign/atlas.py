@@ -450,6 +450,8 @@ def trait_factorisation(
     and contracting them reaches G/W0 with every other component unchanged,
     since contraction commutes with a direct sum.  So the W1 classes of G/Z
     are those of G/W0, which give canonical, and gcd 1 forces M = w/t there.
+    So all_valid is separated, for every bound: two members disagree only
+    on W0, and a pure class holding a W0 edge has valuation 0 throughout.
     """
     ids = G.edge_ids
     vals = [v.of(e.label) for e in G.edges]
@@ -480,28 +482,3 @@ def trait_factorisation(
     canonical_function = ThicknessFunction(tuple(zip(ids, canonical)))
     return TraitFactorisation(v, canonical_function, tuple(sorted(scales)), bound, all_valid)
 
-
-def trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
-    """Separatedness: for any two functions of fact.all_valid, every edge of
-    their overlap (the classes of either side that meet the set where they
-    disagree) has valuation 0.
-
-    Checked per circuit class B on its graph, over the pairs of distinct
-    restrictions of fact.all_valid to B: sum over B of |S_B|^2 pairs, not
-    |S|^2, for a verdict on all n(n-1)/2 pairs.  Exact for any all_valid: a
-    pair's overlap is the union of its per-class overlaps, and a class
-    where the two agree adds nothing.
-
-    False never comes from trait_factorisation's own output: its members
-    agree on every valued edge, so any class of either side that meets
-    their disagreement set has valuation 0 throughout (the corollary of
-    the lemma in trait_factorisation).
-    """
-    vals = [fact.valuation.of(e.label) for e in G.edges]
-    vectors = [M.vector() for M in fact.all_valid]
-    for places, H in _class_graphs(G):
-        restricted = dict.fromkeys(tuple(vec[i] for i in places) for vec in vectors)
-        for a, b in itertools.combinations(restricted, 2):
-            if any(vals[places[k]] for k in _overlap_positions(H, a, b)):
-                return False
-    return True

@@ -330,8 +330,10 @@ def _staged_dir(outdir: str | Path):
 
 def write_atlas(
     atlas: Atlas, outdir: str | Path, vanishing: Optional[Sequence[str]] = None
-) -> None:
-    """Write atlas.index plus one presentation file per chart and overlap.
+) -> int:
+    """Write atlas.index plus one presentation file per chart and overlap;
+    return how many charts have a nonempty fibre over ``vanishing`` (0
+    without it).
 
     Every file is canonical ``json.dumps(indent=2)`` text, spliced from
     fragments encoded once: each chart's text around its inverted labels,
@@ -376,6 +378,7 @@ def write_atlas(
         return found
 
     point = None if vanishing is None else _list([_quote(g) for g in sorted(vanishing)], 4)
+    nonempty = 0
     with _staged_dir(outdir) as tmp:
         charts = []
         for M, c in atlas.charts.items():
@@ -385,6 +388,7 @@ def write_atlas(
             fields = [("values", values), ("file", _quote(fname))]
             if vanishing is not None:
                 fr = closed_fibre(c, vanishing)
+                nonempty += fr.nonempty
                 fibre = [
                     ("vanishing", point),
                     ("nonempty", _bool(fr.nonempty)),
@@ -415,6 +419,7 @@ def write_atlas(
             ("overlaps", _list(overlaps, 1)),
         ]
         _write_document(tmp / "atlas.index", index)
+    return nonempty
 
 
 def write_trace(trace: ResolutionTrace, outdir: str | Path, dot: bool = False) -> None:

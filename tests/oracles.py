@@ -7,8 +7,9 @@ functions by contracting every candidate afresh, and the text of every
 atlas, trace and strata file as ``json.dumps`` of an object built field by
 field.  Trait factorisations are filtered over the candidate product of the
 whole graph and their separatedness checked over every pair of whole
-functions, both on fresh contractions.  The package holds none of this;
-the script loads it by its path.
+functions, both on fresh contractions, and the controlling-point witness
+of each stratum is searched through specialisation maps.  The package
+holds none of this; the script loads it by its path.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from graphalign import (
     contract,
     is_thickness_function,
     power_equivalent,
+    specialisation_map,
 )
 from graphalign.alignment import AlignmentReport, _class_verdict
 from graphalign.formats import _chart_parts, _label, _list
@@ -450,8 +452,9 @@ def brute_trait(
 
 
 def brute_trait_separated(G: LabelledGraph, fact: TraitFactorisation) -> bool:
-    """``trait_separated`` over every pair of whole functions of
-    fact.all_valid: each overlap, on G, holds only edges of valuation 0."""
+    """Separatedness over every pair of whole functions of fact.all_valid:
+    each overlap, on G, holds only edges of valuation 0.  The ``trait``
+    command prints it from the valued-edge lemma without a check."""
     vals = dict(zip(G.edge_ids, _edge_valuations(G, fact.valuation)))
     classes = [contracted_classes(G, M) for M in fact.all_valid]
     pairs = itertools.combinations(zip(fact.all_valid, classes), 2)
@@ -668,3 +671,19 @@ def strata_files_oracle(fam: StratifiedFamily) -> dict[str, str]:
     files["poset.dot"] = "\n".join(lines) + "\n"
     files["strata.index"] = _dump(index)
     return files
+
+
+def controlling_oracle(fam: StratifiedFamily) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]:
+    """The controlling-point witness of each stratum J, searched: the
+    generators labelling the stratum, if they lie within J and their
+    specialisation map from J contracts no edge, else J itself through the
+    identity.  ``specialisation_map`` raises ``unknown stratum`` when that
+    labelling set is a proper subset of J that indexes no stratum of fam."""
+    witnesses = []
+    for J in fam.subsets():
+        used = frozenset(g for e in fam.strata[J].edges for g in e.label.support)
+        for J2 in (used, J):
+            if J2 == J or (J2 <= J and not specialisation_map(fam, J, J2).contracted_edges):
+                witnesses.append((tuple(sorted(J)), tuple(sorted(J2))))
+                break
+    return tuple(witnesses)

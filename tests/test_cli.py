@@ -156,6 +156,22 @@ class TestAtlasCommand:
         assert "nonempty fibres at {x,y}: 1" in out
         assert (out_dir / "atlas.index").exists()
 
+    def test_each_fibre_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        fibre = atlas.closed_fibre
+
+        def counted(c, vanishing):
+            calls.append(c)
+            return fibre(c, vanishing)
+
+        for module in (atlas, formats):
+            monkeypatch.setattr(module, "closed_fibre", counted)
+        out_dir = str(tmp_path / "atlas")
+        assert run(["atlas", TWOGON, "--max", "2", "--out", out_dir, "--vanishing", "x"]) == 0
+        out, _ = out_of(capsys)
+        assert "charts: 6" in out
+        assert len(calls) == 6
+
     def test_existing_directory_fails_cleanly(self, tmp_path, capsys):
         out_dir = tmp_path / "atlas"
         assert run(["atlas", TWOGON, "--max", "0", "--out", str(out_dir)]) == 0

@@ -18,6 +18,7 @@ from graphalign import (
 from graphalign.formats import load_graph
 
 from conftest import FIXTURES
+from oracles import controlling_oracle
 from strategies import labelled_graphs, mono, random_graph, theta, threecycle, twogon
 
 
@@ -193,6 +194,17 @@ class TestVerifyControlling:
         assert report.passed
         assert report.witnesses == ((("x",), ("x",)),)
 
+    def test_stratum_labelled_by_a_proper_subset_of_its_index_is_its_own_witness(self):
+        # A hand-built stratum at {x, y} labelled by x alone: the witness is
+        # J itself.  The searching oracle tries {x}, which indexes no stratum.
+        G = LabelledGraph.build(
+            GeneratorSet(("x", "y"), nc=True), ["a"], [("l", "a", "a", mono(x=1))]
+        )
+        fam = StratifiedFamily(G, {frozenset({"x", "y"}): G})
+        assert verify_controlling(fam).witnesses == ((("x", "y"), ("x", "y")),)
+        with pytest.raises(ValueError, match="unknown stratum"):
+            controlling_oracle(fam)
+
     def test_distinct_single_generator_families_always_pass(self):
         for G in [twogon(nc=True), theta(nc=True), single_loop()]:
             assert verify_controlling(stratify(G)).passed
@@ -206,6 +218,19 @@ class TestVerifyControlling:
             (frozenset({"y"}), frozenset()),
         }
         assert set(fam.covers) == expected_pairs
+
+
+@pytest.mark.parametrize("name", ["twogon", "threecycle", "theta", "mixed6", "wheel"])
+def test_controlling_witnesses_equal_the_oracle_on_fixtures(name):
+    fam = stratify(nc_relabel(load_graph(FIXTURES / f"{name}.graph")))
+    assert verify_controlling(fam).witnesses == controlling_oracle(fam)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_graphs(max_edges=6))
+def test_controlling_witnesses_equal_the_oracle_on_random_nc_graphs(G):
+    fam = stratify(nc_relabel(G))
+    assert verify_controlling(fam).witnesses == controlling_oracle(fam)
 
 
 def assert_covers_consistent(fam):
