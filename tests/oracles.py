@@ -8,8 +8,10 @@ atlas, trace and strata file as ``json.dumps`` of an object built field by
 field.  Trait factorisations are filtered over the candidate product of the
 whole graph and their separatedness checked over every pair of whole
 functions, both on fresh contractions, and the controlling-point witness
-of each stratum is searched through specialisation maps.  The package
-holds none of this; the script loads it by its path.
+of each stratum is searched through specialisation maps.  The two disjoint
+paths of a circuit witness have a second search, kept in dicts of tuples
+and run until the sink leaves its queue.  The package holds none of this;
+the script loads it by its path.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+from collections import deque
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -33,6 +36,7 @@ from graphalign import (
     ThicknessFunction,
     TraitFactorisation,
     Valuation,
+    WitnessNotFoundError,
     circuit_partition,
     circuit_witness,
     closed_fibre,
@@ -148,6 +152,74 @@ def witness_failures(G: LabelledGraph) -> tuple[int, list[tuple[str, str, list[s
             if not is_circuit or w[0] != e or f not in w:
                 failures.append((e, f, w))
     return checked, failures
+
+
+def two_disjoint_paths_oracle(
+    adj: Sequence[Sequence[int]], end: Sequence[int], src: int, dst: int
+) -> list[list[int]]:
+    """Two internally vertex-disjoint paths src -> dst, as lists of arcs;
+    src has exactly two arcs, and the paths start with them in order.
+
+    Arc a leaves vertex ``end[a]`` and enters ``end[a ^ 1]``; ``adj[v]``
+    lists the arcs leaving v in the order the search scans them.
+    Unit-capacity augmenting paths on the vertex-split network; two
+    augmentations always succeed here because the callers only ask inside
+    a 2-vertex-connected block.  Node 2v is v's in-node and 2v + 1 its
+    out-node, joined by the inner arc ``len(end) + v``; src and dst are not
+    split and are node 2v alone.  Each augmentation is one breadth-first
+    search that scans a node's forward arcs, then the arcs into it that
+    carry flow in the order they first did, so it costs O(V + E).
+    """
+    inner = len(end)
+    flow = bytearray(inner + len(adj))
+    into: dict[int, list[int]] = {}  # node -> arcs into it that have carried flow
+    source, sink = 2 * src, 2 * dst
+    for _ in range(2):
+        prev: dict[int, Optional[tuple[int, int, int]]] = {source: None}
+        queue = deque([source])
+        while queue:
+            node = queue.popleft()
+            if node == sink:
+                break
+            v = node >> 1
+            if node & 1 or v == src:
+                for a in adj[v]:
+                    if not flow[a]:
+                        t = 2 * end[a ^ 1]
+                        if t not in prev:
+                            prev[t] = (node, a, 1)
+                            queue.append(t)
+            elif v != dst and not flow[inner + v] and node + 1 not in prev:
+                prev[node + 1] = (node, inner + v, 1)
+                queue.append(node + 1)
+            for a in into.get(node, ()):
+                if flow[a]:
+                    # Back to the arc's tail: an in-node, src or an out-node.
+                    t = 2 * (a - inner) if a >= inner else 2 * end[a] + (end[a] != src)
+                    if t not in prev:
+                        prev[t] = (node, a, -1)
+                        queue.append(t)
+        if sink not in prev:
+            raise WitnessNotFoundError("no two disjoint paths found")
+        node = sink
+        while (step := prev[node]) is not None:
+            parent, a, direction = step
+            if direction > 0:
+                into.setdefault(node, []).append(a)
+            flow[a] = direction > 0
+            node = parent
+
+    # Every other vertex on a path has one unit of capacity, so one arc of
+    # the flow leaves it.
+    leaving = {end[a]: a for arcs in into.values() for a in arcs if a < inner and flow[a]}
+    paths = []
+    for a in adj[src]:
+        path = [a]
+        while (v := end[a ^ 1]) != dst:
+            a = leaving[v]
+            path.append(a)
+        paths.append(path)
+    return paths
 
 
 def connected_components(vertices, pairs) -> list[frozenset[str]]:

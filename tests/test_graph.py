@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -18,11 +19,17 @@ from graphalign import (
     first_betti,
     specialise,
 )
+from graphalign import graph
 from graphalign.formats import load_graph
 from graphalign.graph import Edge
 
 from conftest import FIXTURES
-from oracles import brute_circuit_partition, enumerate_2vc_subgraphs, witness_failures
+from oracles import (
+    brute_circuit_partition,
+    enumerate_2vc_subgraphs,
+    two_disjoint_paths_oracle,
+    witness_failures,
+)
 from strategies import chained_blocks, labelled_graphs, mono, theta, threecycle, twogon
 
 
@@ -110,11 +117,15 @@ class TestCircuitWitness:
         with pytest.raises(WitnessNotFoundError):
             circuit_witness(path_plus_loop(), "e1", "e2")
 
-    @pytest.mark.parametrize("e, f", [("zz", "e1"), ("e1", "zz")])
+    @pytest.mark.parametrize("e, f", [("zz", "e1"), ("e1", "zz"), ("zz", "zz")])
     def test_unknown_edge_is_not_a_missing_witness(self, e, f):
         with pytest.raises(ValueError, match=r"^unknown edge id 'zz'$") as err:
             circuit_witness(path_plus_loop(), e, f)
         assert not isinstance(err.value, WitnessNotFoundError)
+
+    def test_same_edge_twice_is_refused(self):
+        with pytest.raises(ValueError, match=r"^the two edges must be distinct$"):
+            circuit_witness(path_plus_loop(), "e1", "e1")
 
     def test_wheel_every_same_class_pair(self):
         G = load_graph(FIXTURES / "wheel.graph")
@@ -154,6 +165,21 @@ class TestCircuitWitness:
         for e, f in pairs[:12]:
             fresh = LabelledGraph(G.generators, G.vertices, G.edges)
             assert circuit_witness(G, e, f) == circuit_witness(fresh, e, f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(labelled_graphs(max_edges=8), chained_blocks(max_edges=9)))
+    def test_search_equals_the_oracle_search(self, G):
+        # The flat-array search that stops at the sink against the
+        # dict-based one that pops it, on every ordered same-class pair.
+        pairs = [(e, f) for cls in circuit_partition(G) for e, f in itertools.permutations(sorted(cls), 2)]
+        found = [circuit_witness(G, e, f) for e, f in pairs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                graph,
+                "_two_disjoint_paths",
+                lambda adj, end, head, src, dst: two_disjoint_paths_oracle(adj, end, src, dst),
+            )
+            assert [circuit_witness(G, e, f) for e, f in pairs] == found
 
     def test_empty_edge_id(self):
         # Edge ids are any strings; the empty one is an ordinary edge.

@@ -70,6 +70,7 @@ def test_core_timings_runs():
         "| `check_alignment`",
         "| `circuit_partition`",
         "| `parse_graph`",
+        "| `circuit_witness`",
     ]
     assert all(row.endswith(" s |") for row in rows)
 
