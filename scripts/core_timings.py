@@ -18,10 +18,10 @@ operation, the best of ``--repeat`` runs in plain wall seconds:
 Every timed call but the witness gets a fresh copy of the grid, so nothing
 a graph keeps from one call (its circuit partition, its index view) helps
 the next.  The witness is timed warm, on a copy that has already answered
-the same pair, so its partition, edge-to-class map and class network are
-built and the figure is the search and the copy of the network alone: the
-benchmark's ``core_large`` witnesses run on graphs loaded once, so that is
-the case it measures.
+the same pair, so its partition and class network are built and the
+figure is the search and the copy of the network alone: the benchmark's
+``core_large`` witnesses run on graphs loaded once, so that is the case
+it measures.
 Like scripts/oracle_sweep.py it needs ``graphalign`` importable:
 
     PYTHONPATH=src python3 scripts/core_timings.py [--sizes 100 200] [--repeat 3]

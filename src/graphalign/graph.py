@@ -9,6 +9,7 @@ of a 2-vertex-connected block of the loop-deleted graph.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,17 +239,13 @@ def _class_positions(G: LabelledGraph) -> list[list[int]]:
 
 
 def _two_disjoint_paths(
-    adj: Sequence[Sequence[int]],
-    end: Sequence[int],
-    head: Sequence[int],
-    src: int,
-    dst: int,
+    adj: Sequence[Sequence[int]], end: Sequence[int], src: int, dst: int
 ) -> list[list[int]]:
     """Two internally vertex-disjoint paths src -> dst, as lists of arcs;
     src has exactly two arcs, and the paths start with them in order.
 
-    Arc a leaves vertex ``end[a]`` and enters ``head[a] == end[a ^ 1]``;
-    ``adj[v]`` lists the arcs leaving v in the order the search scans them.
+    Arc a leaves vertex ``end[a]`` and enters ``end[a ^ 1]``; ``adj[v]``
+    lists the arcs leaving v in the order the search scans them.
     Unit-capacity augmenting paths on the vertex-split network; two
     augmentations always succeed here because the callers only ask inside
     a 2-vertex-connected block.  Node 2v is v's in-node and 2v + 1 its
@@ -281,7 +278,7 @@ def _two_disjoint_paths(
             if node & 1 or v == src:
                 for a in adj[v]:
                     if not flow[a]:
-                        t = 2 * head[a]
+                        t = 2 * end[a ^ 1]
                         if parent[t] < 0:
                             parent[t] = node
                             arc[t] = a
@@ -318,7 +315,7 @@ def _two_disjoint_paths(
     paths = []
     for a in adj[src]:
         path = [a]
-        while (v := head[a]) != dst:
+        while (v := end[a ^ 1]) != dst:
             a = leaving[v]
             path.append(a)
         paths.append(path)
@@ -332,25 +329,20 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
     Raises WitnessNotFoundError when the edges lie in different classes of
     the circuit partition.  Implemented by subdividing both edges and
     finding two vertex-disjoint paths between the subdivision points.  G
-    keeps two memos, built on first use, so that a call costs its search
-    and a copy of its class's network: ``_edge_class`` maps each edge id
-    to the index of its class in ``circuit_partition(G)``, and
-    ``_flow_networks`` maps a class index to that class's network, which
-    holds the class's edge ids, each id's local index, and the tail, head
-    and scan order of every arc.
+    keeps a memo, built on first use, so that a warm call costs a scan for
+    e's class, its search and a copy of its class's network:
+    ``_flow_networks`` maps the index of a class in ``circuit_partition(G)``
+    to that class's network, which holds the class's edge ids in repr
+    order and the tail and scan order of every arc.
     """
-    # An unknown id is refused as such, even when given twice.
-    G.edge(e)
-    G.edge(f)
+    part = circuit_partition(G)
+    k = next((k for k, c in enumerate(part) if e in c), None)
+    if k is None:
+        raise ValueError(f"unknown edge id {e!r}")
     if e == f:
         raise ValueError("the two edges must be distinct")
-    where = G.__dict__.get("_edge_class")
-    if where is None:
-        where = G.__dict__["_edge_class"] = {
-            x: k for k, c in enumerate(circuit_partition(G)) for x in c
-        }
-    k = where[e]
-    if where[f] != k:
+    if f not in part[k]:
+        G.edge(f)  # an unknown id is refused as such
         raise WitnessNotFoundError(
             f"edges {e!r} and {f!r} lie in different circuit classes"
         )
@@ -361,38 +353,37 @@ def circuit_witness(G: LabelledGraph, e: str, f: str) -> list[str]:
         # it and arc 2j + 1 back, so each vertex lists its arcs by the repr
         # of their edge ids, the order of the search.  Arrays keep the memo
         # free of one int object per arc.
-        ids = sorted(circuit_partition(G)[k], key=repr)
-        index = {x: j for j, x in enumerate(ids)}
-        local: dict[str, int] = {}
-        edge = G._edge_index
-        end = array("i", [local.setdefault(v, len(local)) for x in ids for v in edge[x].ends])
-        head = array("i", end)
-        head[::2], head[1::2] = end[1::2], end[::2]
+        lo, hi = G._index
+        cls = part[k]
+        edges = [(e.id, a, b) for e, a, b in zip(G.edges, lo, hi) if e.id in cls]
+        edges.sort(key=lambda t: repr(t[0]))
+        ids = [eid for eid, _, _ in edges]
+        local: dict[int, int] = {}
+        end = array("i", [local.setdefault(v, len(local)) for _, a, b in edges for v in (a, b)])
         adj = [array("i") for _ in local]
         for a, v in enumerate(end):
             adj[v].append(a)
-        networks[k] = ids, index, end, head, adj
-    ids, index, end, head, adj = networks[k]
+        networks[k] = ids, end, adj
+    ids, end, adj = networks[k]
 
     # Subdivide e and f at new vertices m: for an edge from u up to w, the
     # half-a arcs u -> m, m -> u and the half-b arcs m -> w, w -> m.  The
     # halves come after every whole edge at u and w, ordered by ("half-a"
     # or "half-b", repr of the id).  That arc order decides which circuit
     # is found, and tests/golden/witnesses.json pins it.
-    gone = [2 * index[x] + i for x in (e, f) for i in (0, 1)]
-    end, head, adj = end[:], head[:], adj[:]
+    gone = [2 * bisect_left(ids, repr(x), key=repr) + i for x in (e, f) for i in (0, 1)]
+    end, adj = end[:], adj[:]
     halves: dict[int, list[tuple[str, str, int]]] = {}
     for j in gone[::2]:
         u, w, m, a = end[j], end[j + 1], len(adj), len(end)
         end.extend((u, m, m, w))
-        head.extend((m, u, w, m))
         adj.append([a + 1, a + 2])
         halves.setdefault(u, []).append(("half-a", repr(ids[j >> 1]), a))
         halves.setdefault(w, []).append(("half-b", repr(ids[j >> 1]), a + 3))
     for v, extra in halves.items():
         adj[v] = [a for a in adj[v] if a not in gone] + [a for *_, a in sorted(extra)]
 
-    forward, backward = _two_disjoint_paths(adj, end, head, len(adj) - 2, len(adj) - 1)
+    forward, backward = _two_disjoint_paths(adj, end, len(adj) - 2, len(adj) - 1)
     # Arc a runs along class edge a >> 1, or along a half of e or of f.
     names = ids + [e, e, f, f]
     circuit: list[str] = []
