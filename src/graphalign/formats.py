@@ -27,7 +27,7 @@ from .atlas import (
 )
 from .graph import Edge, LabelledGraph
 from .labels import GeneratorSet, Monomial
-from .resolution import ResolutionTrace
+from .resolution import ResolutionTrace, RewriteRecord
 from .strata import StratifiedFamily
 
 
@@ -184,33 +184,45 @@ def serialize_graph(G: LabelledGraph) -> str:
     encoded once: ``json.dumps`` would run its pure-Python indenting encoder
     over one object per edge.
     """
-    return _graph_text(G, {}, {})
+    return _graph_text(G, {}, {}, {})
 
 
 def _graph_text(
-    G: LabelledGraph, vertices: dict[str, str], labels: dict[Monomial, str]
+    G: LabelledGraph,
+    vertices: dict[str, str],
+    labels: dict[int, str],
+    edges: dict[int, str],
 ) -> str:
-    """``serialize_graph(G)``, taking each vertex id's encoding and each
-    label's fragment from ``vertices`` and ``labels``, and adding there the
-    ones not yet encoded: graphs that share ids and labels share the work."""
+    """``serialize_graph(G)``, taking each vertex id's encoding from
+    ``vertices``, and each label's fragment and each edge's entry from
+    ``labels`` and ``edges`` by the object's identity, and adding there the
+    ones not yet encoded: graphs that share ids, labels and edges share the
+    work.  The objects must outlive the dicts that hold their ids."""
     quoted = [vertices.get(v) or vertices.setdefault(v, _quote(v)) for v in G.vertices]
-    edges = []
-    for e in G.edges:
-        label = labels.get(e.label)
-        if label is None:
-            label = labels[e.label] = _label(e.label, 3)
-        u, w = e.ends
-        edges.append(
-            f'{{\n      "id": {_quote(e.id)},\n      "ends": [\n'
-            f"        {vertices[u]},\n        {vertices[w]}\n      ],\n"
-            f'      "label": {label}\n    }}'
-        )
+    entries = [edges.get(id(e)) or _edge_entry(e, vertices, labels, edges) for e in G.edges]
     generators = _list([_quote(g) for g in G.generators.names], 1)
     return (
         f'{{\n  "generators": {generators},\n  "nc": {_bool(G.generators.nc)},\n'
         f'  "vertices": {_list(quoted, 1)},\n'
-        f'  "edges": {_list(edges, 1)}\n}}\n'
+        f'  "edges": {_list(entries, 1)}\n}}\n'
     )
+
+
+def _edge_entry(
+    e: Edge, vertices: dict[str, str], labels: dict[int, str], edges: dict[int, str]
+) -> str:
+    """Encode e's entry in a graph text into ``edges``; its ends are in
+    ``vertices`` already."""
+    label = labels.get(id(e.label))
+    if label is None:
+        label = labels[id(e.label)] = _label(e.label, 3)
+    u, w = e.ends
+    text = edges[id(e)] = (
+        f'{{\n      "id": {_quote(e.id)},\n      "ends": [\n'
+        f"        {vertices[u]},\n        {vertices[w]}\n      ],\n"
+        f'      "label": {label}\n    }}'
+    )
+    return text
 
 
 def graph_to_dot(G: LabelledGraph, name: str = "G") -> str:
@@ -422,37 +434,55 @@ def write_atlas(
     return nonempty
 
 
+def _rewrite_entry(r: RewriteRecord) -> str:
+    """A rewrite record's entry in the trace index, as ``_object`` lays out
+    its fields at nesting 4."""
+    produced = "[]"
+    if r.produced:
+        produced = "[\n            " + ",\n            ".join(map(_quote, r.produced)) + "\n          ]"
+    return (
+        f'{{\n          "edge": {_quote(r.edge)},\n          "rule": {_quote(r.rule)},\n'
+        f'          "produced": {produced}\n        }}'
+    )
+
+
 def write_trace(trace: ResolutionTrace, outdir: str | Path, dot: bool = False) -> None:
-    """One graph file per step plus a rewrite log."""
-    with _staged_dir(outdir) as tmp:
-        steps = []
+    """One graph file per step plus a rewrite log.
+
+    Steps share most of their objects: a kept edge, its vertex ids, its
+    label and its keep record are the previous step's.  So each edge entry,
+    vertex id, label and rewrite record is encoded once per trace, keyed by
+    object identity (the trace holds every object), and each step's text
+    is joins of cached text.  An edge or record that a step does not hold
+    is in no later step, so only the last step's entries are kept.  The
+    index is written step by step, so no step's log outlives its step.
+    """
+    vertices: dict[str, str] = {}
+    labels: dict[int, str] = {}
+    edges: dict[int, str] = {}
+    entries: dict[int, str] = {}
+    valuation = _object([(g, str(v)) for g, v in trace.valuation.values], 1)
+    with _staged_dir(outdir) as tmp, open(tmp / "trace.index", "w") as index:
+        # ``_object`` of the fields ``valuation`` and ``steps``, at nesting 0.
+        index.write(f'{{\n  "valuation": {valuation},\n  "steps": [')
         for i, step in enumerate(trace.steps):
             fname = f"step_{i:02d}.graph"
-            (tmp / fname).write_text(serialize_graph(step.graph))
+            (tmp / fname).write_text(_graph_text(step.graph, vertices, labels, edges))
+            edges = {id(e): edges[id(e)] for e in step.graph.edges}
             if dot:
                 (tmp / f"step_{i:02d}.dot").write_text(
                     graph_to_dot(step.graph, name=f"step{i}")
                 )
-            rewrites = [
-                _object(
-                    [
-                        ("edge", _quote(r.edge)),
-                        ("rule", _quote(r.rule)),
-                        ("produced", _list([_quote(e) for e in r.produced], 5)),
-                    ],
-                    4,
-                )
-                for r in step.rewrites
-            ]
+            rewrites = [entries.get(id(r)) or _rewrite_entry(r) for r in step.rewrites]
+            entries = dict(zip(map(id, step.rewrites), rewrites))
             fields = [
                 ("file", _quote(fname)),
                 ("delta", str(step.delta)),
                 ("rewrites", _list(rewrites, 3)),
             ]
-            steps.append(_object(fields, 2))
-        valuation = _object([(g, str(v)) for g, v in trace.valuation.values], 1)
-        log = [("valuation", valuation), ("steps", _list(steps, 1))]
-        _write_document(tmp / "trace.index", log)
+            index.write(",\n    " if i else "\n    ")
+            index.writelines(_object_parts(fields, 2))
+        index.write("\n  ]\n}\n" if trace.steps else "]\n}\n")
 
 
 def strata_poset_dot(fam: StratifiedFamily) -> str:
@@ -478,19 +508,19 @@ def write_strata(fam: StratifiedFamily, outdir: str | Path) -> None:
     encoded once for the whole family.
     """
     vertices: dict[str, str] = {}
-    labels: dict[Monomial, str] = {}
+    labels: dict[int, str] = {}
     with _staged_dir(outdir) as tmp:
         strata = []
         for i, J in enumerate(fam.subsets()):
             fname = f"stratum_{i:02d}.graph"
             with open(os.path.join(tmp, fname), "w") as f:
-                f.write(_graph_text(fam.strata[J], vertices, labels))
+                f.write(_graph_text(fam.strata[J], vertices, labels, {}))
             generators = _list([_quote(g) for g in sorted(J)], 3)
             strata.append(_object([("generators", generators), ("file", _quote(fname))], 2))
         with open(os.path.join(tmp, "poset.dot"), "w") as f:
             f.write(strata_poset_dot(fam))
         index = [
-            ("controlling", _nested(_graph_text(fam.controlling, vertices, labels))),
+            ("controlling", _nested(_graph_text(fam.controlling, vertices, labels, {}))),
             ("strata", _list(strata, 1)),
         ]
         _write_document(tmp / "strata.index", index)

@@ -26,11 +26,14 @@ class GeneratorSet:
     nc: bool = False
 
     def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
+        # Kept in ``__dict__``, outside the fields that equality and hashing
+        # read, so that a membership test is one lookup, not a scan.
+        known = self.__dict__["_known"] = frozenset(self.names)
+        if len(known) != len(self.names):
             raise ValueError(f"duplicate generator names in {self.names!r}")
 
     def __contains__(self, name: str) -> bool:
-        return name in self.names
+        return name in self._known
 
     def restrict(self, keep: Iterable[str]) -> "GeneratorSet":
         keep = set(keep)
@@ -174,7 +177,10 @@ class Valuation:
 
     def __post_init__(self) -> None:
         names = [g for g, _ in self.values]
-        if names != sorted(names) or len(set(names)) != len(names):
+        # Kept in ``__dict__`` like GeneratorSet's name set: one lookup per
+        # generator, not a scan.
+        table = self.__dict__["_table"] = dict(self.values)
+        if names != sorted(names) or len(table) != len(names):
             raise ValueError("valuation entries must be sorted by distinct generator")
         for g, v in self.values:
             if v < 0:
@@ -185,10 +191,10 @@ class Valuation:
         return cls(tuple(sorted((g, int(v)) for g, v in mapping.items())))
 
     def value(self, gen: str) -> int:
-        for g, v in self.values:
-            if g == gen:
-                return v
-        raise ValueError(f"valuation is missing generator {gen!r}")
+        try:
+            return self._table[gen]
+        except KeyError:
+            raise ValueError(f"valuation is missing generator {gen!r}") from None
 
     def of(self, m: Monomial) -> int:
         """Sum of exponent * value over the monomial's support."""

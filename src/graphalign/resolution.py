@@ -10,11 +10,21 @@ so rewriting terminates with all labels of valuation at most one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Optional
 
 from .alignment import AlignmentReport, check_alignment
 from .graph import Edge, LabelledGraph, _edge
 from .labels import Monomial, Valuation, primitive_part
+
+# The most edge slots (one per edge of each step's graph) that ``resolve``
+# lets a trace hold.  The trace keeps every step's edge and rewrite tuples,
+# and ``resolve --out`` writes one edge entry per slot.  The 40x40 grid
+# labelled x^40 holds 1,372,800 slots; a 4-cycle labelled x^n holds about
+# n^2, so x^3000 passes and x^3200 is refused.
+MAX_TRACE_EDGE_SLOTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -59,6 +69,195 @@ def _require_aligned(G: LabelledGraph) -> AlignmentReport:
     return report
 
 
+_ID = attrgetter("id")
+
+
+def _without(items: list, drop: list[int]) -> list:
+    """``items`` less the items at the increasing positions ``drop``."""
+    out = []
+    start = 0
+    for pos in drop:
+        out += items[start:pos]
+        start = pos + 1
+    out += items[start:]
+    return out
+
+
+def _with(items: list, at: list[int], new: list) -> list:
+    """``items`` with each ``new[j]`` put before ``items[at[j]]``; ``at`` is
+    non-decreasing."""
+    out = []
+    start = 0
+    for pos, item in zip(at, new):
+        out += items[start:pos]
+        out.append(item)
+        start = pos
+    out += items[start:]
+    return out
+
+
+class _Rewriter:
+    """Blowup steps from an aligned graph on, each costing its rewrites plus
+    one linear copy and validation of the new graph.
+
+    On an aligned graph each non-unit label is p^n with p its class
+    primitive, so its ``primitive_part`` gives (p, n) without the block
+    search.  A split edge's pieces inherit p, with multiplicities 1, n-2
+    and 1, so only units and edges of multiplicity >= 2 ever change, and
+    after the first step those are middle pieces.  Carried from step to
+    step:
+
+    - per-label facts, computed once per distinct label: its valuation,
+      its primitive and multiplicity, and its interned middle power;
+    - the positions of the edges still to rewrite;
+    - ``delta``, moved by each rewrite by the valuations of the labels it
+      removes and adds;
+    - the sorted edge and vertex lists, and the id and vertex sets of the
+      fresh-id clash check;
+    - one keep record per kept edge, shared by every step that keeps it.
+    """
+
+    def __init__(self, G: LabelledGraph, v: Optional[Valuation]) -> None:
+        self.generators = G.generators
+        self.v = v
+        # One label object per distinct label, as ``parse_graph`` gives, so
+        # that facts cached on a Monomial are computed once per label.  G's
+        # objects come first, in id order: a kept edge is rebuilt only
+        # when G itself holds equal labels apart.
+        self.canon: dict[Monomial, Monomial] = {}
+        for label in {id(e.label): e.label for e in G.edges}.values():
+            self.canon.setdefault(label, label)
+        # By the id of a label object: (label, valuation, primitive,
+        # multiplicity, middle power), holding the label so that the id
+        # stays its own; and for a label that is rewritten, its ``_plan``.
+        self.facts: dict[int, tuple] = {}
+        self.plans: dict[int, tuple] = {}
+        self.vertices = list(G.vertices)
+        self.vertex_set = set(G.vertices)
+        self.taken = {e.id for e in G.edges}
+        self.edges = edges = list(G.edges)
+        self.keeps: list[Optional[RewriteRecord]] = []
+        self.work: list[int] = []
+        self.delta = 0
+        for i, e in enumerate(edges):
+            _, w, p, n, _ = self._facts(e.label)
+            self.delta += max(w - 1, 0)
+            if n == 1:
+                if p is not e.label:
+                    edges[i] = e = Edge(e.id, e.ends, p)
+                self.keeps.append(RewriteRecord(e.id, "keep", (e.id,)))
+            else:
+                self.keeps.append(None)
+                self.work.append(i)
+
+    def _facts(self, label: Monomial) -> tuple:
+        found = self.facts.get(id(label))
+        if found is None:
+            canon = self.canon.setdefault(label, label)
+            if canon is not label:
+                found = (label,) + self._facts(canon)[1:]
+            elif label.is_unit:
+                found = (label, 0, None, 0, None)
+            else:
+                p, n = primitive_part(label)
+                p = self.canon.setdefault(p, p)
+                middle = None
+                if n >= 3:
+                    middle = p.pow(n - 2)
+                    middle = self.canon.setdefault(middle, middle)
+                w = 0 if self.v is None else self.v.of(label)
+                found = (label, w, p, n, middle)
+            self.facts[id(label)] = found
+        return found
+
+    def _plan(self, label: Monomial) -> tuple:
+        """(primitive, multiplicity, middle power, change of delta) for the
+        rewrite of an edge labelled ``label``."""
+        _, w, p, n, middle = self._facts(label)
+        pieces = () if n == 0 else (p, p) if n == 2 else (p, middle, p)
+        change = sum(max(self._facts(m)[1] - 1, 0) for m in pieces) - max(w - 1, 0)
+        found = self.plans[id(label)] = (p, n, middle, change)
+        return found
+
+    def value(self, label: Monomial) -> int:
+        return self._facts(label)[1]
+
+    def step(self, index: int) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
+        """Rewrite every edge of the current graph at once.  Fresh vertex
+        names combine the parent edge id with ``index``, and fresh edge ids
+        extend the parent id."""
+        edges, work, vertices, taken = self.edges, self.work, self.vertex_set, self.taken
+        plans, plan = self.plans, self._plan
+        last = len(edges) - 1
+        records = self.keeps.copy()
+        pieces: list[Edge] = []
+        piece_keeps: list[Optional[RewriteRecord]] = []
+        # Each piece goes before kept[at[i]], where kept is the edge list
+        # less the rewritten edges.
+        at: list[int] = []
+        in_place = True
+        fresh: list[str] = []
+        d = self.delta
+        for j, pos in enumerate(work):
+            e = edges[pos]
+            eid = e.id
+            p, n, middle, change = plans.get(id(e.label)) or plan(e.label)
+            if n == 0:
+                records[pos] = RewriteRecord(eid, "delete-unit", ())
+                continue
+            a, b = e.ends
+            if n == 2:
+                names = (f"{eid}@{index}.1",)
+                ids = (f"{eid}.1", f"{eid}.2")
+                new = (_edge(ids[0], a, names[0], p), _edge(ids[1], names[0], b, p))
+                rule = "split-two"
+            else:
+                names = (f"{eid}@{index}.1", f"{eid}@{index}.2")
+                ids = (f"{eid}.1", f"{eid}.2", f"{eid}.3")
+                new = (
+                    _edge(ids[0], a, names[0], p),
+                    _edge(ids[1], names[0], names[1], middle),
+                    _edge(ids[2], names[1], b, p),
+                )
+                rule = "split-three"
+            clash = vertices.intersection(names) | taken.intersection(ids)
+            if clash:
+                raise ValueError(f"fresh ids collide with existing ids: {sorted(clash)}")
+            vertices.update(names)
+            taken.update(ids)
+            fresh += names
+            records[pos] = RewriteRecord(eid, rule, ids)
+            d += change
+            pieces += new
+            piece_keeps.append(RewriteRecord(ids[0], "keep", ids[:1]))
+            if n >= 3:
+                piece_keeps.append(RewriteRecord(ids[1], "keep", ids[1:2]) if n == 3 else None)
+            piece_keeps.append(RewriteRecord(ids[-1], "keep", ids[-1:]))
+            # The pieces sort above eid, so above the pieces of earlier
+            # edges, which sort below the edge after their parent.  They take
+            # eid's place unless the edge after it sorts below the last
+            # piece, as "e-" and "e.1a" sort below "e.3" ("." sorts below
+            # digits and letters, "-" below "."): then all are searched.
+            at += (pos - j,) * len(new)
+            if pos < last and edges[pos + 1].id < ids[-1]:
+                in_place = False
+        taken.difference_update([edges[pos].id for pos in work])
+        kept = _without(edges, work)
+        if not in_place:
+            order = sorted(range(len(pieces)), key=lambda i: pieces[i].id)
+            pieces = [pieces[i] for i in order]
+            piece_keeps = [piece_keeps[i] for i in order]
+            at = [bisect_left(kept, piece.id, key=_ID) for piece in pieces]
+        self.edges = _with(kept, at, pieces)
+        self.keeps = _with(_without(self.keeps, work), at, piece_keeps)
+        self.work = [k + i for i, (k, keep) in enumerate(zip(at, piece_keeps)) if keep is None]
+        self.vertices += fresh
+        self.vertices.sort()
+        self.delta = d
+        H = LabelledGraph(self.generators, tuple(self.vertices), tuple(self.edges))
+        return H, tuple(records)
+
+
 def blowup_step(
     G: LabelledGraph, step: int = 1
 ) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
@@ -68,72 +267,24 @@ def blowup_step(
     fresh edge ids extend the parent id, so traces are reproducible.
     """
     _require_aligned(G)
-    return _rewrite(G, step)
+    return _Rewriter(G, None).step(step)
 
 
-def _rewrite(
-    G: LabelledGraph, step: int
-) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
-    """``blowup_step`` on a graph already known to be aligned.
+def _trace_size(report: AlignmentReport) -> tuple[int, int]:
+    """The number of steps ``resolve`` takes on an aligned graph, and the
+    number of edge slots its trace holds, from the multiplicities alone.
 
-    There each non-unit label is p^n with p its class primitive, so its
-    ``primitive_part`` gives (p, n) without the block search.
+    An edge of multiplicity n is min(2s + 1, n) edges after step s: 2s + 1
+    before its last step n // 2, and n from there on.  A unit edge is in
+    step 0 only.
     """
-    vertices = set(G.vertices)
-    taken = {e.id for e in G.edges}
-    new_edges: list[Edge] = []
-    records: list[RewriteRecord] = []
-    # One label object per distinct label in H, as ``parse_graph`` gives,
-    # so that label facts cached on a Monomial are computed once per label.
-    # G's objects come first: a kept edge is rebuilt only when G itself
-    # holds equal labels apart.
-    shared: dict[Monomial, Monomial] = {}
-    for e in G.edges:
-        shared.setdefault(e.label, e.label)
-    for e in G.edges:
-        if e.label.is_unit:
-            records.append(RewriteRecord(e.id, "delete-unit", ()))
-            continue
-        p, n = primitive_part(e.label)
-        if n == 1:
-            label = shared[e.label]
-            new_edges.append(e if label is e.label else Edge(e.id, e.ends, label))
-            records.append(RewriteRecord(e.id, "keep", (e.id,)))
-            continue
-        p = shared.setdefault(p, p)
-        a, b = e.ends
-        if n == 2:
-            w = f"{e.id}@{step}.1"
-            ids = (f"{e.id}.1", f"{e.id}.2")
-            pieces = [(ids[0], a, w, p), (ids[1], w, b, p)]
-            rule = "split-two"
-            fresh = [w]
-        else:
-            w1 = f"{e.id}@{step}.1"
-            w2 = f"{e.id}@{step}.2"
-            middle = p.pow(n - 2)
-            middle = shared.setdefault(middle, middle)
-            ids = (f"{e.id}.1", f"{e.id}.2", f"{e.id}.3")
-            pieces = [
-                (ids[0], a, w1, p),
-                (ids[1], w1, w2, middle),
-                (ids[2], w2, b, p),
-            ]
-            rule = "split-three"
-            fresh = [w1, w2]
-        clash = (set(fresh) & vertices) | (set(ids) & taken)
-        if clash:
-            raise ValueError(f"fresh ids collide with existing ids: {sorted(clash)}")
-        vertices.update(fresh)
-        taken.update(ids)
-        new_edges.extend(_edge(i, u, v, l) for i, u, v, l in pieces)
-        records.append(RewriteRecord(e.id, rule, ids))
-    H = LabelledGraph(
-        G.generators,
-        tuple(sorted(vertices)),
-        tuple(sorted(new_edges, key=lambda x: x.id)),
-    )
-    return H, tuple(records)
+    mults = [n for c in report.classes if c.primitive is not None for _, n in c.multiplicities]
+    steps = max(mults, default=0) // 2
+    slots = len(report.unit_edges)
+    for n in mults:
+        last = n // 2
+        slots += last * last + (steps - last + 1) * n
+    return steps, slots
 
 
 def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
@@ -146,17 +297,30 @@ def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
     subdividing an edge keeps its pieces in its parent's block (a loop's
     pieces form a new cycle, a bridge's are bridges), and deleting the
     unit edges, whose classes hold only units, merges no blocks.
+
+    A trace whose step graphs would hold more than ``MAX_TRACE_EDGE_SLOTS``
+    edges in all is refused before the first step.  Each step then costs
+    its rewrites plus one linear copy and validation of its graph: the
+    edges it keeps are the previous step's objects, with their rewrite
+    records, and each distinct label's valuation is read once.
     """
-    for c in _require_aligned(G).classes:
-        if c.primitive is not None and v.of(c.primitive) != 1:
+    report = _require_aligned(G)
+    rewriter = _Rewriter(G, v)
+    for c in report.classes:
+        if c.primitive is not None and rewriter.value(c.primitive) != 1:
             raise ValueError(
                 f"valuation must send the class primitive {c.primitive} (edge {c.edges[0]!r}) to 1"
             )
-    steps = [ResolutionStep(G, delta(G, v), ())]
+    count, slots = _trace_size(report)
+    if slots > MAX_TRACE_EDGE_SLOTS:
+        raise ValueError(
+            f"resolving takes {count} steps whose graphs hold {slots} edges in all, "
+            f"above the limit of {MAX_TRACE_EDGE_SLOTS}"
+        )
+    steps = [ResolutionStep(G, rewriter.delta, ())]
     while steps[-1].delta > 0:
-        H, records = _rewrite(steps[-1].graph, len(steps))
-        d = delta(H, v)
-        if d >= steps[-1].delta:
+        H, records = rewriter.step(len(steps))
+        if rewriter.delta >= steps[-1].delta:
             raise AssertionError("delta failed to decrease; rewriting bug")
-        steps.append(ResolutionStep(H, d, records))
+        steps.append(ResolutionStep(H, rewriter.delta, records))
     return ResolutionTrace(v, tuple(steps))

@@ -10,8 +10,9 @@ whole graph and their separatedness checked over every pair of whole
 functions, both on fresh contractions, and the controlling-point witness
 of each stratum is searched through specialisation maps.  The two disjoint
 paths of a circuit witness have a second search, kept in dicts of tuples
-and run until the sink leaves its queue.  The package holds none of this;
-the script loads it by its path.
+and run until the sink leaves its queue.  A resolution is rewritten step
+by step over whole graphs, with delta summed afresh on each.  The package
+holds none of this; the script loads it by its path.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from graphalign import (
     GeneratorSet,
     LabelledGraph,
     Monomial,
+    ResolutionStep,
     ResolutionTrace,
+    RewriteRecord,
     StratifiedFamily,
     ThicknessFunction,
     TraitFactorisation,
@@ -47,6 +50,9 @@ from graphalign import (
 )
 from graphalign.alignment import AlignmentReport, _class_verdict
 from graphalign.formats import _chart_parts, _label, _list
+from graphalign.graph import _edge
+from graphalign.labels import primitive_part
+from graphalign.resolution import _require_aligned, delta
 
 ORACLE_EDGE_CAP = 12
 
@@ -759,3 +765,80 @@ def controlling_oracle(fam: StratifiedFamily) -> tuple[tuple[tuple[str, ...], tu
                 witnesses.append((tuple(sorted(J)), tuple(sorted(J2))))
                 break
     return tuple(witnesses)
+
+
+def rewrite_oracle(
+    G: LabelledGraph, step: int
+) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
+    """One blowup step on a graph known to be aligned, over the whole graph:
+    every edge is visited, every label hashed into the step's interning
+    table, and the vertex and edge tuples sorted afresh."""
+    vertices = set(G.vertices)
+    taken = {e.id for e in G.edges}
+    new_edges: list[Edge] = []
+    records: list[RewriteRecord] = []
+    shared: dict[Monomial, Monomial] = {}
+    for e in G.edges:
+        shared.setdefault(e.label, e.label)
+    for e in G.edges:
+        if e.label.is_unit:
+            records.append(RewriteRecord(e.id, "delete-unit", ()))
+            continue
+        p, n = primitive_part(e.label)
+        if n == 1:
+            label = shared[e.label]
+            new_edges.append(e if label is e.label else Edge(e.id, e.ends, label))
+            records.append(RewriteRecord(e.id, "keep", (e.id,)))
+            continue
+        p = shared.setdefault(p, p)
+        a, b = e.ends
+        if n == 2:
+            w = f"{e.id}@{step}.1"
+            ids = (f"{e.id}.1", f"{e.id}.2")
+            pieces = [(ids[0], a, w, p), (ids[1], w, b, p)]
+            rule = "split-two"
+            fresh = [w]
+        else:
+            w1 = f"{e.id}@{step}.1"
+            w2 = f"{e.id}@{step}.2"
+            middle = p.pow(n - 2)
+            middle = shared.setdefault(middle, middle)
+            ids = (f"{e.id}.1", f"{e.id}.2", f"{e.id}.3")
+            pieces = [
+                (ids[0], a, w1, p),
+                (ids[1], w1, w2, middle),
+                (ids[2], w2, b, p),
+            ]
+            rule = "split-three"
+            fresh = [w1, w2]
+        clash = (set(fresh) & vertices) | (set(ids) & taken)
+        if clash:
+            raise ValueError(f"fresh ids collide with existing ids: {sorted(clash)}")
+        vertices.update(fresh)
+        taken.update(ids)
+        new_edges.extend(_edge(i, u, v, l) for i, u, v, l in pieces)
+        records.append(RewriteRecord(e.id, rule, ids))
+    H = LabelledGraph(
+        G.generators,
+        tuple(sorted(vertices)),
+        tuple(sorted(new_edges, key=lambda x: x.id)),
+    )
+    return H, tuple(records)
+
+
+def resolve_oracle(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
+    """``resolve`` by ``rewrite_oracle`` at every step, with delta summed
+    over every edge of every step graph."""
+    for c in _require_aligned(G).classes:
+        if c.primitive is not None and v.of(c.primitive) != 1:
+            raise ValueError(
+                f"valuation must send the class primitive {c.primitive} (edge {c.edges[0]!r}) to 1"
+            )
+    steps = [ResolutionStep(G, delta(G, v), ())]
+    while steps[-1].delta > 0:
+        H, records = rewrite_oracle(steps[-1].graph, len(steps))
+        d = delta(H, v)
+        if d >= steps[-1].delta:
+            raise AssertionError("delta failed to decrease; rewriting bug")
+        steps.append(ResolutionStep(H, d, records))
+    return ResolutionTrace(v, tuple(steps))

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphalign import Monomial, Valuation, power_equivalent, primitive_part, primitive_root
+from graphalign import (
+    GeneratorSet,
+    Monomial,
+    Valuation,
+    power_equivalent,
+    primitive_part,
+    primitive_root,
+)
 
 from strategies import mono, monomials, nonunit_monomials
 
@@ -74,6 +81,24 @@ def test_valuation_examples():
     assert Valuation.from_dict({"x": 0}).of(mono(x=5)) == 0
     with pytest.raises(ValueError):
         v.of(mono(z=1))
+
+
+def test_lookup_tables_stay_out_of_equality():
+    # Generator sets and valuations answer lookups from a set and a dict
+    # built once, which equality, hashing and repr do not read.
+    gens = GeneratorSet(("x", "y"))
+    assert "x" in gens and "z" not in gens
+    assert gens == GeneratorSet(("x", "y")) and hash(gens) == hash(GeneratorSet(("x", "y")))
+    assert repr(gens) == "GeneratorSet(names=('x', 'y'), nc=False)"
+    with pytest.raises(ValueError, match=r"duplicate generator names in \('x', 'x'\)"):
+        GeneratorSet(("x", "x"))
+    v = Valuation.from_dict({"x": 2, "y": 0})
+    assert (v.value("x"), v.value("y")) == (2, 0)
+    assert v == Valuation.from_dict({"y": 0, "x": 2}) and repr(v) == "Valuation(values=(('x', 2), ('y', 0)))"
+    with pytest.raises(ValueError, match="valuation is missing generator 'z'"):
+        v.value("z")
+    with pytest.raises(ValueError, match="sorted by distinct generator"):
+        Valuation((("x", 1), ("x", 2)))
 
 
 @given(nonunit_monomials())

@@ -1,5 +1,7 @@
+import json
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,12 @@ from graphalign import (
     formats,
     is_aligned,
     primitive_part,
+    resolution,
     resolve,
 )
 
 from conftest import FIXTURES
-from oracles import class_multiplicities
+from oracles import class_multiplicities, resolve_oracle, rewrite_oracle
 from strategies import (
     aligned_graphs,
     chained_blocks,
@@ -250,3 +253,182 @@ class TestAlignmentIsCheckedOnce:
             assert check_alignment(step.graph).aligned
             assert_primitive_parts_match(step.graph)
         assert all(VXY.of(e.label) <= 1 for e in trace.final.edges)
+
+
+def cycle(n: int, k: int) -> LabelledGraph:
+    """An n-cycle with every edge labelled x^k."""
+    return LabelledGraph.build(
+        GeneratorSet(("x",)),
+        [f"v{i}" for i in range(n)],
+        [(f"e{i}", f"v{i}", f"v{(i + 1) % n}", mono(x=k)) for i in range(n)],
+    )
+
+
+def bridges(*edges: tuple[str, int]) -> LabelledGraph:
+    """A path of bridges, edge i with id edges[i][0] labelled x^edges[i][1]."""
+    return LabelledGraph.build(
+        GeneratorSet(("x",)),
+        [f"v{i}" for i in range(len(edges) + 1)],
+        [(eid, f"v{i}", f"v{i + 1}", mono(x=k)) for i, (eid, k) in enumerate(edges)],
+    )
+
+
+def assert_same_trace(G: LabelledGraph, v: Valuation) -> None:
+    trace, oracle = resolve(G, v), resolve_oracle(G, v)
+    assert len(trace.steps) == len(oracle.steps)
+    for i, (step, expected) in enumerate(zip(trace.steps, oracle.steps)):
+        assert step.graph == expected.graph, i
+        assert step.delta == expected.delta, i
+        assert step.rewrites == expected.rewrites, i
+    # The size guard's count is the trace's.
+    assert resolution._trace_size(check_alignment(G)) == (
+        len(trace.steps) - 1,
+        sum(len(step.graph.edges) for step in trace.steps),
+    )
+
+
+class TestRewritingKernel:
+    """The incremental kernel against the whole-graph loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(aligned_graphs(max_exp=12))
+    def test_every_step_matches_the_oracle(self, G):
+        assert_same_trace(G, VXY)
+
+    @settings(max_examples=100, deadline=None)
+    @given(aligned_graphs(max_exp=6), st.integers(1, 5))
+    def test_blowup_step_matches_the_oracle(self, G, step):
+        assert blowup_step(G, step) == rewrite_oracle(G, step)
+
+    def test_fourcycle_x60_step_by_step(self):
+        assert_same_trace(cycle(4, 60), VX)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # "-" sorts below ".", so e's pieces go after "e-" and "e-1".
+            [("e", 5), ("e-", 4), ("e-1", 1), ("f", 3)],
+            # A kept id between two pieces of one edge.
+            [("e", 6), ("e.1a", 1), ("e.2-", 2), ("e.2.1-", 1)],
+            # Both at once, at several steps.
+            [("a", 9), ("a-", 7), ("a.2.1x", 1), ("a.2.2.1x", 1), ("a-.1x", 1)],
+        ],
+    )
+    def test_pieces_are_merged_into_id_order(self, edges):
+        assert_same_trace(bridges(*edges), VX)
+
+    def test_fresh_id_clash_at_step_two(self):
+        # Step 1 makes e.2 = x^2 beside e.2.1; step 2 would split it into e.2.1.
+        G = bridges(("e", 4), ("e.2.1", 1))
+        with pytest.raises(ValueError) as expected:
+            resolve_oracle(G, VX)
+        with pytest.raises(ValueError) as got:
+            resolve(G, VX)
+        assert str(got.value) == str(expected.value) == (
+            "fresh ids collide with existing ids: ['e.2.1']"
+        )
+
+    def test_equal_labels_held_apart_are_merged_as_the_oracle_does(self):
+        G = LabelledGraph.build(
+            GeneratorSet(("x",)),
+            ["a", "b", "c"],
+            [("e1", "a", "b", mono(x=1)), ("e2", "b", "c", mono(x=1)), ("e3", "a", "c", mono(x=3))],
+        )
+        assert G.edges[0].label is not G.edges[1].label
+        assert_same_trace(G, VX)
+        final = resolve(G, VX).final
+        assert len({id(e.label) for e in final.edges}) == 1
+
+    def test_work_is_in_the_size_of_the_rewrites(self, monkeypatch):
+        # 100 steps on a 4-cycle labelled x^200.  Rewriting every edge of
+        # every step builds 40,000 records and reads 40,000 valuations.
+        made = []
+        record = resolution.RewriteRecord
+
+        def counting_record(*args):
+            made.append(args)
+            return record(*args)
+
+        read = []
+        of = Valuation.of
+
+        def counting_of(self, m):
+            read.append(m)
+            return of(self, m)
+
+        monkeypatch.setattr(resolution, "RewriteRecord", counting_record)
+        monkeypatch.setattr(Valuation, "of", counting_of)
+        trace = resolve(cycle(4, 200), VX)
+        assert len(trace.steps) == 101
+        final_edges = len(trace.final.edges)
+        rewrites = sum(r.rule != "keep" for step in trace.steps for r in step.rewrites)
+        assert (final_edges, rewrites) == (800, 400)
+        assert len(made) <= 2 * (final_edges + rewrites)
+        labels = {e.label for step in trace.steps for e in step.graph.edges}
+        assert len(read) <= len(labels) == 101
+        # A kept edge carries the same record at every step that keeps it.
+        kept = {id(r) for step in trace.steps for r in step.rewrites if r.rule == "keep"}
+        assert len(kept) <= final_edges
+
+
+class TestSizeGuard:
+    def test_count_is_exact_on_the_40x40_grid(self):
+        n = 40
+        G = LabelledGraph.build(
+            GeneratorSet(("x",)),
+            [f"v{i}_{j}" for i in range(n) for j in range(n)],
+            [(f"h{i}_{j}", f"v{i}_{j}", f"v{i + 1}_{j}", mono(x=40)) for i in range(n - 1) for j in range(n)]
+            + [(f"w{i}_{j}", f"v{i}_{j}", f"v{i}_{j + 1}", mono(x=40)) for i in range(n) for j in range(n - 1)],
+        )
+        steps, slots = resolution._trace_size(check_alignment(G))
+        assert (steps, slots) == (20, 1_372_800)
+        assert slots <= resolution.MAX_TRACE_EDGE_SLOTS
+
+    def test_units_count_in_step_zero_only(self):
+        G = LabelledGraph.build(
+            GeneratorSet(("x",)),
+            ["a", "b"],
+            [("u", "a", "a", Monomial.unit()), ("e", "a", "b", mono(x=5))],
+        )
+        assert_same_trace(G, VX)
+        assert resolution._trace_size(check_alignment(G)) == (2, 1 + 1 + 3 + 5)
+
+    def test_refused_before_the_first_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(resolution._Rewriter, "step", no_step)
+        with pytest.raises(ValueError) as err:
+            resolve(cycle(4, 100_000), VX)
+        assert str(err.value) == (
+            "resolving takes 50000 steps whose graphs hold 10000400000 edges in all, "
+            f"above the limit of {resolution.MAX_TRACE_EDGE_SLOTS}"
+        )
+
+
+def _path_text(n: int, own_generators: bool) -> str:
+    """A path of n bridges labelled g_i^2, each with its own generator, or
+    all labelled x^2."""
+    gens = [f"g{i}" for i in range(n)] if own_generators else ["x"]
+    edges = [
+        {"id": f"e{i}", "ends": [f"v{i}", f"v{i + 1}"], "label": {gens[i] if own_generators else "x": 2}}
+        for i in range(n)
+    ]
+    vertices = sorted(f"v{i}" for i in range(n + 1))
+    return json.dumps({"generators": gens, "nc": False, "vertices": vertices, "edges": edges})
+
+
+def test_many_generators_cost_linear_time():
+    # Generator lookups are one set or dict lookup each: a path with 20,000
+    # generators parses and resolves within 10x the time of the same path
+    # over one generator.  Scanning the generator tuple took about 40x.
+    def parse_and_resolve(text: str) -> float:
+        start = time.perf_counter()
+        G = formats.parse_graph(text)
+        trace = resolve(G, Valuation.from_dict({g: 1 for g in G.generators.names}))
+        assert len(trace.final.edges) == 2 * len(G.edges)
+        return time.perf_counter() - start
+
+    n = 20_000
+    own, shared = _path_text(n, True), _path_text(n, False)
+    assert parse_and_resolve(own) < 10 * parse_and_resolve(shared)

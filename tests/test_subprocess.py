@@ -52,6 +52,30 @@ def test_trait_with_large_valuation_finishes():
     assert proc.stdout.splitlines()[3:5] == ["  1,1,1,1,1,1,1,1", "separatedness: ok (0 pairs checked)"]
 
 
+def test_resolve_refuses_a_trace_too_large_to_hold(tmp_path):
+    # A 4-cycle labelled x^100000 takes 50,000 steps whose graphs hold
+    # about 10^10 edges: refused from the multiplicities, before any step.
+    graph = tmp_path / "cycle.graph"
+    graph.write_text(json.dumps({
+        "generators": ["x"],
+        "nc": False,
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [
+            {"id": f"e{i}", "ends": sorted(pair), "label": {"x": 100000}}
+            for i, pair in enumerate([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        ],
+    }))
+    proc = run_python(
+        "-m", "graphalign.cli", "resolve", str(graph), "--valuation", "x=1",
+        "--out", str(tmp_path / "trace"),
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "resolving takes 50000 steps whose graphs hold 10000400000 edges in all" in proc.stderr
+    assert not (tmp_path / "trace").exists()
+
+
 def test_worked_example_runs():
     proc = run_python("scripts/worked_example.py")
     assert proc.returncode == 0, proc.stderr
