@@ -53,7 +53,6 @@ from .resolution import (
     ResolutionTrace,
     RewriteRecord,
     blowup_step,
-    delta,
     resolve,
 )
 from .strata import (

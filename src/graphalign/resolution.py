@@ -51,16 +51,6 @@ class ResolutionTrace:
         return self.steps[-1].graph
 
 
-def delta(G: LabelledGraph, v: Valuation) -> int:
-    """Sum of (valuation - 1) over edges with positive label valuation."""
-    total = 0
-    for e in G.edges:
-        w = v.of(e.label)
-        if w >= 1:
-            total += w - 1
-    return total
-
-
 def _require_aligned(G: LabelledGraph) -> AlignmentReport:
     report = check_alignment(G)
     if not report.aligned:
@@ -135,7 +125,12 @@ class _Rewriter:
         self.vertices = list(G.vertices)
         self.vertex_set = set(G.vertices)
         self.taken = {e.id for e in G.edges}
-        self.edges = edges = list(G.edges)
+        self.edges = list(G.edges)
+
+    def start(self) -> None:
+        """Read the labels of the first graph: ``delta``, the edges to
+        rewrite and the keep records.  No valuation is read before."""
+        edges = self.edges
         self.keeps: list[Optional[RewriteRecord]] = []
         self.work: list[int] = []
         self.delta = 0
@@ -188,17 +183,11 @@ class _Rewriter:
         extend the parent id."""
         edges, work, vertices, taken = self.edges, self.work, self.vertex_set, self.taken
         plans, plan = self.plans, self._plan
-        last = len(edges) - 1
         records = self.keeps.copy()
-        pieces: list[Edge] = []
-        piece_keeps: list[Optional[RewriteRecord]] = []
-        # Each piece goes before kept[at[i]], where kept is the edge list
-        # less the rewritten edges.
-        at: list[int] = []
-        in_place = True
+        pieces: list[tuple[Edge, Optional[RewriteRecord]]] = []
         fresh: list[str] = []
         d = self.delta
-        for j, pos in enumerate(work):
+        for pos in work:
             e = edges[pos]
             eid = e.id
             p, n, middle, change = plans.get(id(e.label)) or plan(e.label)
@@ -228,27 +217,20 @@ class _Rewriter:
             fresh += names
             records[pos] = RewriteRecord(eid, rule, ids)
             d += change
-            pieces += new
-            piece_keeps.append(RewriteRecord(ids[0], "keep", ids[:1]))
+            pieces.append((new[0], RewriteRecord(ids[0], "keep", ids[:1])))
             if n >= 3:
-                piece_keeps.append(RewriteRecord(ids[1], "keep", ids[1:2]) if n == 3 else None)
-            piece_keeps.append(RewriteRecord(ids[-1], "keep", ids[-1:]))
-            # The pieces sort above eid, so above the pieces of earlier
-            # edges, which sort below the edge after their parent.  They take
-            # eid's place unless the edge after it sorts below the last
-            # piece, as "e-" and "e.1a" sort below "e.3" ("." sorts below
-            # digits and letters, "-" below "."): then all are searched.
-            at += (pos - j,) * len(new)
-            if pos < last and edges[pos + 1].id < ids[-1]:
-                in_place = False
+                pieces.append((new[1], RewriteRecord(ids[1], "keep", ids[1:2]) if n == 3 else None))
+            pieces.append((new[-1], RewriteRecord(ids[-1], "keep", ids[-1:])))
         taken.difference_update([edges[pos].id for pos in work])
         kept = _without(edges, work)
-        if not in_place:
-            order = sorted(range(len(pieces)), key=lambda i: pieces[i].id)
-            pieces = [pieces[i] for i in order]
-            piece_keeps = [piece_keeps[i] for i in order]
-            at = [bisect_left(kept, piece.id, key=_ID) for piece in pieces]
-        self.edges = _with(kept, at, pieces)
+        # The pieces are merged into id order, not put in their parent's
+        # place: "." sorts below digits and letters, so an edge "e-" or
+        # "e.1a" after "e" sorts below its piece "e.3".
+        pieces.sort(key=lambda piece: piece[0].id)
+        new_edges = [e for e, _ in pieces]
+        piece_keeps = [keep for _, keep in pieces]
+        at = [bisect_left(kept, e.id, key=_ID) for e in new_edges]
+        self.edges = _with(kept, at, new_edges)
         self.keeps = _with(_without(self.keeps, work), at, piece_keeps)
         self.work = [k + i for i, (k, keep) in enumerate(zip(at, piece_keeps)) if keep is None]
         self.vertices += fresh
@@ -267,7 +249,9 @@ def blowup_step(
     fresh edge ids extend the parent id, so traces are reproducible.
     """
     _require_aligned(G)
-    return _Rewriter(G, None).step(step)
+    rewriter = _Rewriter(G, None)
+    rewriter.start()
+    return rewriter.step(step)
 
 
 def _trace_size(report: AlignmentReport) -> tuple[int, int]:
@@ -317,6 +301,7 @@ def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
             f"resolving takes {count} steps whose graphs hold {slots} edges in all, "
             f"above the limit of {MAX_TRACE_EDGE_SLOTS}"
         )
+    rewriter.start()
     steps = [ResolutionStep(G, rewriter.delta, ())]
     while steps[-1].delta > 0:
         H, records = rewriter.step(len(steps))

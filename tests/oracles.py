@@ -52,7 +52,7 @@ from graphalign.alignment import AlignmentReport, _class_verdict
 from graphalign.formats import _chart_parts, _label, _list
 from graphalign.graph import _edge
 from graphalign.labels import primitive_part
-from graphalign.resolution import _require_aligned, delta
+from graphalign.resolution import _require_aligned
 
 ORACLE_EDGE_CAP = 12
 
@@ -824,6 +824,16 @@ def rewrite_oracle(
         tuple(sorted(new_edges, key=lambda x: x.id)),
     )
     return H, tuple(records)
+
+
+def delta(G: LabelledGraph, v: Valuation) -> int:
+    """Sum of (valuation - 1) over edges with positive label valuation."""
+    total = 0
+    for e in G.edges:
+        w = v.of(e.label)
+        if w >= 1:
+            total += w - 1
+    return total
 
 
 def resolve_oracle(G: LabelledGraph, v: Valuation) -> ResolutionTrace:

@@ -15,7 +15,6 @@ from graphalign import (
     alignment,
     blowup_step,
     check_alignment,
-    delta,
     first_betti,
     formats,
     is_aligned,
@@ -25,7 +24,7 @@ from graphalign import (
 )
 
 from conftest import FIXTURES
-from oracles import class_multiplicities, resolve_oracle, rewrite_oracle
+from oracles import class_multiplicities, delta, resolve_oracle, rewrite_oracle
 from strategies import (
     aligned_graphs,
     chained_blocks,
@@ -191,6 +190,19 @@ class TestResolve:
     def test_bad_valuation_rejected(self):
         with pytest.raises(ValueError):
             resolve(single_edge(4), Valuation.from_dict({"x": 2}))
+
+    def test_primitives_are_checked_before_any_label(self):
+        # The first class's primitive fails before the second class's
+        # labels, which name a generator the valuation lacks, are read.
+        G = LabelledGraph.build(
+            GeneratorSet(("x", "y")),
+            ["u", "v", "w"],
+            [("a", "u", "v", mono(x=2)), ("b", "v", "w", mono(y=3))],
+        )
+        with pytest.raises(ValueError, match=r"class primitive x \(edge 'a'\) to 1"):
+            resolve(G, Valuation.from_dict({"x": 2}))
+        with pytest.raises(ValueError, match="missing generator 'y'"):
+            resolve(G, Valuation.from_dict({"x": 1}))
 
     def test_trace_records_rules(self):
         trace = resolve(single_edge(4), VX)
