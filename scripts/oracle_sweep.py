@@ -15,7 +15,9 @@ zero edges afresh, checks ``trait_factorisation`` on that labelling at
 every valuation with x and y in 0..2, at the default bound and at bound
 1, against the filter over the whole graph's candidate product, and its
 separatedness, which the ``trait`` command prints without checking, over
-every pair of whole functions, gives
+every pair of whole functions, checks ``resolve`` at those valuations
+against the whole-graph loop ``resolve_oracle`` (the trace, or the
+refusal message) with edge ``e{i}`` labelled (x*y)^(1 + i mod 4), gives
 every shape a normal-crossings labelling (edge ``e{i}`` carries its own
 generator ``g{i}``) and checks every file
 ``write_strata`` writes on it against ``json.dumps`` of the object it
@@ -46,6 +48,7 @@ from graphalign import (
     build_atlas,
     circuit_partition,
     enumerate_thickness,
+    resolve,
     specialise,
     stratify,
     trait_factorisation,
@@ -64,6 +67,7 @@ from oracles import (  # noqa: E402
     canonical_shapes,
     contracted_classes,
     graph_to_obj,
+    resolve_oracle,
     shape_graph,
     strata_files_oracle,
     witness_failures,
@@ -76,6 +80,14 @@ def written(write, obj) -> dict[str, str]:
         out = Path(tmp) / "out"
         write(obj, out)
         return {p.name: p.read_text() for p in out.iterdir()}
+
+
+def outcome(resolver, G, v):
+    """``resolver``'s trace of G at v, or the message of its refusal."""
+    try:
+        return resolver(G, v)
+    except ValueError as refused:
+        return str(refused)
 
 
 def main(argv=None):
@@ -94,7 +106,8 @@ def main(argv=None):
     start = time.time()
     shapes = canonical_shapes(args.max_vertices, args.max_edges)
     mismatches = swept = witnessed = texts = atlases = overlaps = 0
-    strata_dirs = enumerated = traits = 0
+    strata_dirs = enumerated = traits = resolutions = 0
+    xy = Monomial.from_dict({"x": 1, "y": 1})
     valuations = [Valuation.from_dict({"x": i, "y": j}) for i in range(3) for j in range(3)]
     sweep = AlignmentSweep(alphabet)
 
@@ -140,6 +153,14 @@ def main(argv=None):
             if fact != brute_trait(G, v, bound) or not brute_trait_separated(G, fact):
                 print(f"TRAIT MISMATCH on shape {shape}, valuation {dict(v.values)}, bound {bound}")
                 mismatches += 1
+        # Every class has the primitive x*y: x=1,y=0 and x=0,y=1 resolve
+        # the graph, the other valuations refuse it.
+        R = shape_graph(shape, [xy.pow(1 + i % 4) for i in range(len(shape))])
+        for v in valuations:
+            resolutions += 1
+            if outcome(resolve, R, v) != outcome(resolve_oracle, R, v):
+                print(f"RESOLVE MISMATCH on shape {shape}, valuation {dict(v.values)}")
+                mismatches += 1
         G0 = shape_graph(shape)
         if circuit_partition(G0) != brute_circuit_partition(G0):
             print(f"PARTITION MISMATCH on shape {shape}")
@@ -164,6 +185,7 @@ def main(argv=None):
         f"{strata_dirs} strata directories checked, "
         f"{enumerated} thickness enumerations checked, "
         f"{traits} trait factorisations checked, "
+        f"{resolutions} resolutions checked, "
         f"{mismatches} mismatches ({elapsed:.1f}s)"
     )
     return 1 if mismatches else 0

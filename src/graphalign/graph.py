@@ -13,7 +13,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
+from operator import eq
 from typing import Callable, Iterable, Optional, Sequence
 
 from .labels import GeneratorSet, Monomial
@@ -63,7 +64,8 @@ class LabelledGraph:
     def __post_init__(self) -> None:
         if list(self.vertices) != sorted(self.vertices):
             raise ValueError("vertices must be stored sorted")
-        if len(set(self.vertices)) != len(self.vertices):
+        # Sorted, so duplicates are neighbours; ``vset`` is built once, below.
+        if any(map(eq, self.vertices, islice(self.vertices, 1, None))):
             raise ValueError("duplicate vertex ids")
         ids = [e.id for e in self.edges]
         if ids != sorted(ids):

@@ -94,22 +94,23 @@ class _Rewriter:
     primitive, so its ``primitive_part`` gives (p, n) without the block
     search.  A split edge's pieces inherit p, with multiplicities 1, n-2
     and 1, so only units and edges of multiplicity >= 2 ever change, and
-    after the first step those are middle pieces.  Carried from step to
-    step:
+    after the first step those are middle pieces.  ``delta`` is the sum
+    of max(n - 1, 0) over the edges, which ``resolve``'s valuation check
+    makes the sum of (valuation - 1) over edges of positive valuation: a
+    split-two lowers it by 1, a split-three by 2 (n - 1 becomes n - 3),
+    and deleting a unit leaves it.  Carried from step to step:
 
-    - per-label facts, computed once per distinct label: its valuation,
-      its primitive and multiplicity, and its interned middle power;
+    - per-label facts, computed once per distinct label: its primitive,
+      multiplicity and interned middle power;
     - the positions of the edges still to rewrite;
-    - ``delta``, moved by each rewrite by the valuations of the labels it
-      removes and adds;
+    - ``delta``;
     - the sorted edge and vertex lists, and the id and vertex sets of the
       fresh-id clash check;
     - one keep record per kept edge, shared by every step that keeps it.
     """
 
-    def __init__(self, G: LabelledGraph, v: Optional[Valuation]) -> None:
+    def __init__(self, G: LabelledGraph) -> None:
         self.generators = G.generators
-        self.v = v
         # One label object per distinct label, as ``parse_graph`` gives, so
         # that facts cached on a Monomial are computed once per label.  G's
         # objects come first, in id order: a kept edge is rebuilt only
@@ -117,26 +118,19 @@ class _Rewriter:
         self.canon: dict[Monomial, Monomial] = {}
         for label in {id(e.label): e.label for e in G.edges}.values():
             self.canon.setdefault(label, label)
-        # By the id of a label object: (label, valuation, primitive,
-        # multiplicity, middle power), holding the label so that the id
-        # stays its own; and for a label that is rewritten, its ``_plan``.
+        # By the id of a canonical label, which ``canon`` keeps alive:
+        # (primitive, multiplicity, middle power).
         self.facts: dict[int, tuple] = {}
-        self.plans: dict[int, tuple] = {}
         self.vertices = list(G.vertices)
         self.vertex_set = set(G.vertices)
         self.taken = {e.id for e in G.edges}
-        self.edges = list(G.edges)
-
-    def start(self) -> None:
-        """Read the labels of the first graph: ``delta``, the edges to
-        rewrite and the keep records.  No valuation is read before."""
-        edges = self.edges
+        self.edges = edges = list(G.edges)
         self.keeps: list[Optional[RewriteRecord]] = []
         self.work: list[int] = []
         self.delta = 0
         for i, e in enumerate(edges):
-            _, w, p, n, _ = self._facts(e.label)
-            self.delta += max(w - 1, 0)
+            p, n, _ = self._facts(e.label)
+            self.delta += max(n - 1, 0)
             if n == 1:
                 if p is not e.label:
                     edges[i] = e = Edge(e.id, e.ends, p)
@@ -150,9 +144,9 @@ class _Rewriter:
         if found is None:
             canon = self.canon.setdefault(label, label)
             if canon is not label:
-                found = (label,) + self._facts(canon)[1:]
-            elif label.is_unit:
-                found = (label, 0, None, 0, None)
+                return self._facts(canon)
+            if label.is_unit:
+                found = (None, 0, None)
             else:
                 p, n = primitive_part(label)
                 p = self.canon.setdefault(p, p)
@@ -160,29 +154,16 @@ class _Rewriter:
                 if n >= 3:
                     middle = p.pow(n - 2)
                     middle = self.canon.setdefault(middle, middle)
-                w = 0 if self.v is None else self.v.of(label)
-                found = (label, w, p, n, middle)
+                found = (p, n, middle)
             self.facts[id(label)] = found
         return found
-
-    def _plan(self, label: Monomial) -> tuple:
-        """(primitive, multiplicity, middle power, change of delta) for the
-        rewrite of an edge labelled ``label``."""
-        _, w, p, n, middle = self._facts(label)
-        pieces = () if n == 0 else (p, p) if n == 2 else (p, middle, p)
-        change = sum(max(self._facts(m)[1] - 1, 0) for m in pieces) - max(w - 1, 0)
-        found = self.plans[id(label)] = (p, n, middle, change)
-        return found
-
-    def value(self, label: Monomial) -> int:
-        return self._facts(label)[1]
 
     def step(self, index: int) -> tuple[LabelledGraph, tuple[RewriteRecord, ...]]:
         """Rewrite every edge of the current graph at once.  Fresh vertex
         names combine the parent edge id with ``index``, and fresh edge ids
         extend the parent id."""
         edges, work, vertices, taken = self.edges, self.work, self.vertex_set, self.taken
-        plans, plan = self.plans, self._plan
+        facts, read = self.facts, self._facts
         records = self.keeps.copy()
         pieces: list[tuple[Edge, Optional[RewriteRecord]]] = []
         fresh: list[str] = []
@@ -190,7 +171,7 @@ class _Rewriter:
         for pos in work:
             e = edges[pos]
             eid = e.id
-            p, n, middle, change = plans.get(id(e.label)) or plan(e.label)
+            p, n, middle = facts.get(id(e.label)) or read(e.label)
             if n == 0:
                 records[pos] = RewriteRecord(eid, "delete-unit", ())
                 continue
@@ -216,7 +197,7 @@ class _Rewriter:
             taken.update(ids)
             fresh += names
             records[pos] = RewriteRecord(eid, rule, ids)
-            d += change
+            d -= len(names)  # 1 for a split-two, 2 for a split-three
             pieces.append((new[0], RewriteRecord(ids[0], "keep", ids[:1])))
             if n >= 3:
                 pieces.append((new[1], RewriteRecord(ids[1], "keep", ids[1:2]) if n == 3 else None))
@@ -249,9 +230,7 @@ def blowup_step(
     fresh edge ids extend the parent id, so traces are reproducible.
     """
     _require_aligned(G)
-    rewriter = _Rewriter(G, None)
-    rewriter.start()
-    return rewriter.step(step)
+    return _Rewriter(G).step(step)
 
 
 def _trace_size(report: AlignmentReport) -> tuple[int, int]:
@@ -274,34 +253,34 @@ def _trace_size(report: AlignmentReport) -> tuple[int, int]:
 def resolve(G: LabelledGraph, v: Valuation) -> ResolutionTrace:
     """Iterate blowup steps until delta reaches zero, recording the trace.
 
-    The valuation must send each class primitive to 1, so that label
-    valuations agree with the intrinsic multiplicities and delta is the
-    correct termination measure.  Alignment and the primitives are checked
-    once, on G: every step stays aligned with the same primitives, since
-    subdividing an edge keeps its pieces in its parent's block (a loop's
-    pieces form a new cycle, a bridge's are bridges), and deleting the
-    unit edges, whose classes hold only units, merges no blocks.
+    The valuation must send each class primitive p to 1.  Valuations are
+    additive, so each label p^n then has valuation n, and delta is read
+    from the multiplicities: the valuation is read only at the primitives.
+    Alignment and the primitives are checked once, on G: every step stays
+    aligned with the same primitives, since subdividing an edge keeps its
+    pieces in its parent's block (a loop's pieces form a new cycle, a
+    bridge's are bridges), and deleting the unit edges, whose classes hold
+    only units, merges no blocks.
 
     A trace whose step graphs would hold more than ``MAX_TRACE_EDGE_SLOTS``
     edges in all is refused before the first step.  Each step then costs
     its rewrites plus one linear copy and validation of its graph: the
     edges it keeps are the previous step's objects, with their rewrite
-    records, and each distinct label's valuation is read once.
+    records, and each distinct label's primitive part is read once.
     """
     report = _require_aligned(G)
-    rewriter = _Rewriter(G, v)
     for c in report.classes:
-        if c.primitive is not None and rewriter.value(c.primitive) != 1:
+        if c.primitive is not None and v.of(c.primitive) != 1:
             raise ValueError(
                 f"valuation must send the class primitive {c.primitive} (edge {c.edges[0]!r}) to 1"
             )
+    rewriter = _Rewriter(G)
     count, slots = _trace_size(report)
     if slots > MAX_TRACE_EDGE_SLOTS:
         raise ValueError(
             f"resolving takes {count} steps whose graphs hold {slots} edges in all, "
             f"above the limit of {MAX_TRACE_EDGE_SLOTS}"
         )
-    rewriter.start()
     steps = [ResolutionStep(G, rewriter.delta, ())]
     while steps[-1].delta > 0:
         H, records = rewriter.step(len(steps))

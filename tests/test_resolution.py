@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import signal
 import time
 
 import pytest
@@ -299,13 +300,42 @@ def assert_same_trace(G: LabelledGraph, v: Valuation) -> None:
     )
 
 
+def valuation_reads(monkeypatch) -> list:
+    """The labels that ``Valuation.of`` is called on from now on."""
+    read = []
+    of = Valuation.of
+
+    def counting_of(self, m):
+        read.append(m)
+        return of(self, m)
+
+    monkeypatch.setattr(Valuation, "of", counting_of)
+    return read
+
+
+def assert_same_outcome(G: LabelledGraph, v: Valuation) -> None:
+    """The same trace as the oracle, or the same refusal."""
+    try:
+        resolve_oracle(G, v)
+    except ValueError as expected:
+        with pytest.raises(ValueError) as got:
+            resolve(G, v)
+        assert str(got.value) == str(expected)
+    else:
+        assert_same_trace(G, v)
+
+
 class TestRewritingKernel:
     """The incremental kernel against the whole-graph loop it replaced."""
 
+    # VXY resolves every such graph.  The drawn valuation refuses those
+    # with a primitive it does not send to 1; x=0, y=1 resolves the graphs
+    # whose primitives are all x*y.
     @settings(max_examples=150, deadline=None)
-    @given(aligned_graphs(max_exp=12))
-    def test_every_step_matches_the_oracle(self, G):
+    @given(aligned_graphs(max_exp=12), st.integers(0, 2), st.integers(0, 2))
+    def test_every_step_matches_the_oracle(self, G, x, y):
         assert_same_trace(G, VXY)
+        assert_same_outcome(G, Valuation.from_dict({"x": x, "y": y}))
 
     @settings(max_examples=100, deadline=None)
     @given(aligned_graphs(max_exp=6), st.integers(1, 5))
@@ -353,7 +383,8 @@ class TestRewritingKernel:
 
     def test_work_is_in_the_size_of_the_rewrites(self, monkeypatch):
         # 100 steps on a 4-cycle labelled x^200.  Rewriting every edge of
-        # every step builds 40,000 records and reads 40,000 valuations.
+        # every step builds 40,000 records and reads 40,000 valuations; the
+        # kernel reads none, and ``resolve`` reads the one class primitive.
         made = []
         record = resolution.RewriteRecord
 
@@ -361,26 +392,63 @@ class TestRewritingKernel:
             made.append(args)
             return record(*args)
 
-        read = []
-        of = Valuation.of
-
-        def counting_of(self, m):
-            read.append(m)
-            return of(self, m)
-
         monkeypatch.setattr(resolution, "RewriteRecord", counting_record)
-        monkeypatch.setattr(Valuation, "of", counting_of)
+        read = valuation_reads(monkeypatch)
         trace = resolve(cycle(4, 200), VX)
         assert len(trace.steps) == 101
         final_edges = len(trace.final.edges)
         rewrites = sum(r.rule != "keep" for step in trace.steps for r in step.rewrites)
         assert (final_edges, rewrites) == (800, 400)
         assert len(made) <= 2 * (final_edges + rewrites)
-        labels = {e.label for step in trace.steps for e in step.graph.edges}
-        assert len(read) <= len(labels) == 101
+        assert read == [mono(x=1)]
         # A kept edge carries the same record at every step that keeps it.
         kept = {id(r) for step in trace.steps for r in step.rewrites if r.rule == "keep"}
         assert len(kept) <= final_edges
+
+    def test_valuation_is_read_once_per_class_primitive(self, monkeypatch):
+        # A loop x^2, a bridge (x*y)^3, a triangle with (x*y^2)^5 and a
+        # unit loop, whose class has no primitive: three reads.
+        G = LabelledGraph.build(
+            GeneratorSet(("x", "y")),
+            ["a", "b", "c", "d"],
+            [
+                ("l", "a", "a", mono(x=2)),
+                ("r", "a", "b", mono(x=3, y=3)),
+                ("c1", "b", "c", mono(x=5, y=10)),
+                ("c2", "c", "d", mono(x=1, y=2)),
+                ("c3", "b", "d", mono(x=1, y=2)),
+                ("u", "d", "d", Monomial.unit()),
+            ],
+        )
+        primitives = [c.primitive for c in check_alignment(G).classes if c.primitive is not None]
+        read = valuation_reads(monkeypatch)
+        assert len(resolve(G, VXY).steps) == 3
+        assert len(primitives) == 3
+        assert read == primitives
+
+    def test_a_step_that_does_not_lower_delta_is_a_bug(self, monkeypatch):
+        # Each stuck step sleeps, so that if the guard let the loop run on,
+        # the trace would grow slowly until the alarm failed the test.
+        calls = []
+
+        def stuck(self, index):
+            calls.append(index)
+            time.sleep(0.001)
+            return LabelledGraph(self.generators, tuple(self.vertices), tuple(self.edges)), ()
+
+        def on_alarm(signum, frame):
+            raise TimeoutError("resolve kept stepping")
+
+        monkeypatch.setattr(resolution._Rewriter, "step", stuck)
+        previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.setitimer(signal.ITIMER_REAL, 5)
+        try:
+            with pytest.raises(AssertionError, match="^delta failed to decrease; rewriting bug$"):
+                resolve(cycle(4, 6), VX)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert calls == [1]
 
 
 class TestSizeGuard:

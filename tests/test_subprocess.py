@@ -35,7 +35,7 @@ def test_oracle_sweep_runs_clean(tmp_path):
         "22 graph texts checked, 22 atlas directories checked, "
         "430 atlas overlaps checked, "
         "22 strata directories checked, 44 thickness enumerations checked, "
-        "396 trait factorisations checked, 0 mismatches"
+        "396 trait factorisations checked, 198 resolutions checked, 0 mismatches"
     )
     assert timing.endswith("s)\n")
 
